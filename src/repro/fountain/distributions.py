@@ -8,11 +8,14 @@ for completeness and for tests/ablations.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 __all__ = [
     "RFC5053_DEGREES",
     "sample_rfc5053_degree",
+    "rfc5053_degree",
     "ideal_soliton",
     "robust_soliton",
 ]
@@ -38,6 +41,21 @@ def sample_rfc5053_degree(rng: np.random.Generator, size: int = 1) -> np.ndarray
     v = rng.integers(0, 1 << 20, size=size)
     idx = np.searchsorted(_THRESHOLDS, v, side="right")
     return _DEGREE_VALUES[idx]
+
+
+_THRESHOLD_LIST = _THRESHOLDS.tolist()
+_DEGREE_LIST = _DEGREE_VALUES.tolist()
+
+
+def rfc5053_degree(rng: np.random.Generator) -> int:
+    """One RFC 5053 degree, as a Python int.
+
+    Draws exactly what ``sample_rfc5053_degree(rng)[0]`` draws (a scalar
+    ``integers`` call consumes the generator like a size-1 one) without the
+    array round trip, which dominates when degrees are drawn one by one.
+    """
+    v = int(rng.integers(0, 1 << 20))
+    return _DEGREE_LIST[bisect.bisect_right(_THRESHOLD_LIST, v)]
 
 
 def ideal_soliton(n: int) -> np.ndarray:

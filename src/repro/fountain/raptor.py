@@ -82,13 +82,9 @@ class RaptorCodec:
         message comparison (or CRC in a deployed stack).
         """
         n_outputs = bit_llrs.size
-        lt_neighbours = self.lt.neighbour_range(0, n_outputs)
-        lt_checks = np.concatenate([
-            np.full(nbrs.size, j, dtype=np.int64)
-            for j, nbrs in enumerate(lt_neighbours)
-        ]) if n_outputs else np.empty(0, dtype=np.int64)
-        lt_vars = (np.concatenate(lt_neighbours)
-                   if n_outputs else np.empty(0, dtype=np.int64))
+        offsets, lt_vars = self.lt.edges(0, n_outputs)
+        lt_checks = np.repeat(np.arange(n_outputs, dtype=np.int64),
+                              np.diff(offsets))
 
         n_pc = self.precode.n_parity
         checks = np.concatenate([lt_checks, self._pc_checks + n_outputs])

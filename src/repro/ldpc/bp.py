@@ -12,6 +12,14 @@ The engine is edge-vectorised: messages live on flat edge arrays ordered by
 check, with a cached permutation to variable order, so each iteration is a
 handful of ``np.add.reduceat`` calls regardless of graph shape.
 
+Everything that does not change between iterations is prepared once: the
+segment boundaries and the empty-segment handling in ``__init__``, the
+per-edge check observations at the top of :meth:`BeliefPropagation.decode`.
+The iterations work in place where they can.  Every magnitude goes through
+the same floating-point operations in the same order as the plain
+formulation; signs are combined as parities, which is exact because they
+are products of +-1.
+
 LLR convention: positive favours bit value 0.
 """
 
@@ -24,6 +32,25 @@ __all__ = ["BeliefPropagation"]
 _TANH_CLIP = 1.0 - 1e-12
 _TANH_FLOOR = 1e-30  # |tanh| floor: zero-LLR messages must multiply to ~0, not NaN
 _LLR_CLIP = 40.0
+
+
+def _live_segments(starts: np.ndarray, n_edges: int) -> np.ndarray | None:
+    """Indices of the non-empty reduceat segments; None if all are."""
+    live = np.diff(np.append(starts, n_edges)) > 0
+    return None if live.all() else np.flatnonzero(live)
+
+
+def _reduce_segments(
+    ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray,
+    live: np.ndarray | None,
+) -> np.ndarray:
+    """``ufunc`` reduced over each segment; an empty segment gives 0."""
+    if live is None:
+        return ufunc.reduceat(values, starts)
+    reduced = ufunc.reduceat(values, starts[live])
+    out = np.zeros(starts.size, dtype=reduced.dtype)
+    out[live] = reduced
+    return out
 
 
 class BeliefPropagation:
@@ -49,7 +76,10 @@ class BeliefPropagation:
         var_index = np.asarray(var_index, dtype=np.int64)
         if check_index.shape != var_index.shape:
             raise ValueError("edge arrays must align")
-        order = np.lexsort((var_index, check_index))
+        # (check, var) order; one stable argsort of a combined key is the
+        # same permutation as np.lexsort((var_index, check_index)), faster
+        span = int(var_index.max()) + 1 if var_index.size else 1
+        order = np.argsort(check_index * span + var_index, kind="stable")
         self.check_index = check_index[order]
         self.var_index = var_index[order]
         self.n_edges = self.check_index.size
@@ -65,26 +95,24 @@ class BeliefPropagation:
         self._var_starts = np.searchsorted(
             self._var_sorted_vars, np.arange(n_vars)
         )
+        # reduceat cannot express an empty segment (it repeats a neighbour's
+        # value, or fails past the last edge): the non-empty segments, or
+        # None when there is no empty one
+        self._live_checks = _live_segments(self._check_starts, self.n_edges)
+        self._live_vars = _live_segments(self._var_starts, self.n_edges)
 
     # -- helpers -----------------------------------------------------------
 
     def _check_sums(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-check sums of an edge array (check order)."""
-        sums = np.add.reduceat(edge_values, self._check_starts)
-        # reduceat repeats the previous segment for empty checks; zero them
-        empty = np.diff(np.append(self._check_starts, self.n_edges)) == 0
-        if empty.any():
-            sums[empty] = 0.0
-        return sums
+        return _reduce_segments(np.add, edge_values, self._check_starts,
+                                self._live_checks)
 
     def _var_sums(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-variable sums of an edge array (check order in, var totals out)."""
         in_var_order = edge_values[self._to_var_order]
-        sums = np.add.reduceat(in_var_order, self._var_starts)
-        empty = np.diff(np.append(self._var_starts, self.n_edges)) == 0
-        if empty.any():
-            sums[empty] = 0.0
-        return sums
+        return _reduce_segments(np.add, in_var_order, self._var_starts,
+                                self._live_vars)
 
     # -- main loop ---------------------------------------------------------
 
@@ -136,42 +164,60 @@ class BeliefPropagation:
             obs_sign[infinite] = 1.0
             pure_parity = False
 
-        v2c = chan[self.var_index]
-        c2v = np.zeros(self.n_edges)
-        hard = (chan < 0).astype(np.uint8)
+        check_index = self.check_index
+        var_index = self.var_index
+        # per-edge observation terms, constant over the iterations
+        edge_obs_logmag = obs_logmag[check_index]
+        edge_obs_sign = obs_sign[check_index]
+        track_syndrome = early_exit and pure_parity
 
+        v2c = chan[var_index]
+        posterior = chan
         for _ in range(iterations):
             if algorithm == "min-sum":
                 c2v = self._min_sum_check_update(v2c, min_sum_scale)
             else:
                 # ---- check update (sign/log-magnitude split) ----
-                t = np.clip(np.tanh(v2c / 2.0), -_TANH_CLIP, _TANH_CLIP)
-                sign = np.where(t < 0, -1.0, 1.0)
-                logmag = np.log(np.maximum(np.abs(t), _TANH_FLOOR))
+                t = v2c / 2.0
+                np.tanh(t, out=t)
+                np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
+                neg = (t < 0).view(np.uint8)
+                logmag = np.abs(t, out=t)
+                np.maximum(logmag, _TANH_FLOOR, out=logmag)
+                np.log(logmag, out=logmag)
                 total_logmag = self._check_sums(logmag)
-                # product of signs per check via counting negatives
-                neg = (sign < 0).astype(np.float64)
-                total_neg = self._check_sums(neg)
-                check_sign = np.where(total_neg % 2 == 1, -1.0, 1.0)
-                e_logmag = (total_logmag[self.check_index] - logmag
-                            + obs_logmag[self.check_index])
-                e_sign = (check_sign[self.check_index] * sign
-                          * obs_sign[self.check_index])
-                prod = e_sign * np.exp(np.minimum(e_logmag, 0.0))
-                prod = np.clip(prod, -_TANH_CLIP, _TANH_CLIP)
-                c2v = 2.0 * np.arctanh(prod)
-                c2v = np.clip(c2v, -_LLR_CLIP, _LLR_CLIP)
+                # a check's sign is -1 when it has an odd count of
+                # negative factors
+                check_odd = self._check_sums(neg) & 1
+                e_logmag = total_logmag[check_index] - logmag
+                e_logmag += edge_obs_logmag
+                # leave-one-out sign check_sign * sign as +-1.0: products
+                # of +-1 are exact, so this equals multiplying the signs
+                e_sign = (check_odd[check_index] ^ neg).astype(np.float64)
+                e_sign *= -2.0
+                e_sign += 1.0
+                e_sign *= edge_obs_sign
+                prod = np.minimum(e_logmag, 0.0, out=e_logmag)
+                np.exp(prod, out=prod)
+                prod *= e_sign
+                np.clip(prod, -_TANH_CLIP, _TANH_CLIP, out=prod)
+                c2v = np.arctanh(prod, out=prod)
+                c2v *= 2.0
+                np.clip(c2v, -_LLR_CLIP, _LLR_CLIP, out=c2v)
 
             # ---- variable update ----
             var_total = self._var_sums(c2v)
             posterior = chan + var_total
-            v2c = np.clip(posterior[self.var_index] - c2v,
-                          -_LLR_CLIP, _LLR_CLIP)
+            v2c = posterior[var_index]
+            v2c -= c2v
+            np.clip(v2c, -_LLR_CLIP, _LLR_CLIP, out=v2c)
 
-            hard = (posterior < 0).astype(np.uint8)
-            if early_exit and pure_parity and self.syndrome_ok(hard):
-                return hard, True
+            if track_syndrome:
+                hard = (posterior < 0).astype(np.uint8)
+                if self.syndrome_ok(hard):
+                    return hard, True
 
+        hard = (posterior < 0).astype(np.uint8)
         ok = pure_parity and self.syndrome_ok(hard)
         return hard, ok
 
@@ -185,15 +231,16 @@ class BeliefPropagation:
         minimum; on ties the second minimum equals the first, so ties are
         handled for free.
         """
+        starts, live = self._check_starts, self._live_checks
         vabs = np.abs(v2c)
-        m1 = np.minimum.reduceat(vabs, self._check_starts)
+        m1 = _reduce_segments(np.minimum, vabs, starts, live)
         # first occurrence of the minimum within each check segment
         is_min = vabs == m1[self.check_index]
         csum = np.cumsum(is_min)
-        seg_base = csum[self._check_starts] - is_min[self._check_starts]
-        first_min = is_min & (csum - seg_base[self.check_index] == 1)
+        seg_base = (csum - is_min)[starts[self.check_index]]
+        first_min = is_min & (csum - seg_base == 1)
         masked = np.where(first_min, np.inf, vabs)
-        m2 = np.minimum.reduceat(masked, self._check_starts)
+        m2 = _reduce_segments(np.minimum, masked, starts, live)
         excl_min = np.where(first_min, m2[self.check_index],
                             m1[self.check_index])
 

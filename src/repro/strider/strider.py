@@ -135,7 +135,7 @@ class StriderCodec:
     def decode(
         self,
         pass_values: list[np.ndarray],
-        noise_power: np.ndarray | float,
+        noise_power: float | np.ndarray | list[np.ndarray],
     ) -> np.ndarray:
         """MMSE-SIC decode from (possibly partial) received passes.
 
@@ -151,7 +151,9 @@ class StriderCodec:
         t_total = self.symbols_per_layer
         n_passes = len(pass_values)
         lens = np.array([len(v) for v in pass_values])
-        if np.isscalar(noise_power):
+        # a per-pass list may be ragged, which np.ndim cannot measure
+        per_pass = isinstance(noise_power, (list, tuple))
+        if not per_pass and np.ndim(noise_power) == 0:
             noise = [np.full(int(n), float(noise_power)) for n in lens]
         else:
             noise = [np.asarray(v, dtype=np.float64) for v in noise_power]

@@ -13,6 +13,7 @@ from repro.fountain import (
     robust_soliton,
     sample_rfc5053_degree,
 )
+from repro.fountain.distributions import rfc5053_degree
 from repro.modulation import soft_demap
 from repro.simulation import measure_scheme
 
@@ -31,6 +32,15 @@ class TestDegreeDistribution:
         assert p2 == pytest.approx(0.459, abs=0.01)
         p1 = (degrees == 1).mean()
         assert p1 == pytest.approx(10241 / 2**20, abs=0.002)
+
+    def test_scalar_draw_matches_sampler(self):
+        """The scalar draw consumes the generator like a size-1 sample."""
+        a = np.random.default_rng(3)
+        b = np.random.default_rng(3)
+        scalar = [rfc5053_degree(a) for _ in range(2000)]
+        sampled = [int(sample_rfc5053_degree(b)[0]) for _ in range(2000)]
+        assert scalar == sampled
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_mean_degree(self):
         """RFC 5053 average output degree is ~4.6."""
@@ -80,6 +90,25 @@ class TestLTStream:
             s.encode_range(block, 7, 13),
         ])
         assert np.array_equal(whole, parts)
+
+    def test_edges_match_neighbours(self):
+        s = LTStream(40, seed=7)
+        offsets, nbrs = s.edges(3, 25)
+        assert offsets[0] == 0 and offsets.size == 26
+        for j in range(25):
+            assert np.array_equal(nbrs[offsets[j]:offsets[j + 1]],
+                                  s.neighbours(3 + j))
+        empty_offsets, empty = s.edges(10, 0)
+        assert empty_offsets.tolist() == [0] and empty.size == 0
+
+    def test_neighbour_views_are_read_only(self):
+        s = LTStream(40, seed=8)
+        nbrs = s.neighbours(2)
+        s.neighbours(500)  # grows (and reallocates) the storage
+        with pytest.raises(ValueError):
+            nbrs[0] = 0
+        with pytest.raises(ValueError):
+            s.edges(0, 10)[1][0] = 0
 
 
 class TestPrecode:

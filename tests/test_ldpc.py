@@ -57,6 +57,32 @@ class TestGf2:
 
 
 class TestBeliefPropagation:
+    @pytest.mark.parametrize("algorithm", ["sum-product", "min-sum"])
+    def test_trailing_empty_check_and_variable(self, algorithm):
+        """The last check and the last variable have no edges."""
+        bp = BeliefPropagation(np.array([0, 0, 1, 1]),
+                               np.array([0, 1, 1, 2]), 3, 4)
+        chan = np.array([5.0, 0.0, 0.0, -3.0])
+        bits, ok = bp.decode(chan, iterations=5, algorithm=algorithm)
+        assert ok
+        # the isolated variable keeps its own channel decision
+        assert bits.tolist() == [0, 0, 0, 1]
+        assert not bp.syndrome_ok(np.array([1, 0, 0, 0], dtype=np.uint8))
+
+    def test_graph_without_edges(self):
+        bp = BeliefPropagation(np.zeros(0, int), np.zeros(0, int), 2, 3)
+        bits, ok = bp.decode(np.array([1.0, -1.0, 0.5]), iterations=3)
+        assert ok and bits.tolist() == [0, 1, 0]
+
+    def test_edges_in_lexicographic_check_var_order(self):
+        rng = np.random.default_rng(3)
+        checks = rng.integers(0, 30, size=400)
+        vars_ = rng.integers(0, 50, size=400)   # includes duplicate edges
+        bp = BeliefPropagation(checks, vars_, 30, 50)
+        order = np.lexsort((vars_, checks))
+        assert np.array_equal(bp.check_index, checks[order])
+        assert np.array_equal(bp.var_index, vars_[order])
+
     def test_repetition_code(self):
         """x0 = x1 = x2: one strong observation pulls the others."""
         bp = BeliefPropagation(

@@ -84,6 +84,18 @@ class TestBcjr:
         llr, ext = max_log_bcjr(trellis, sys_llr, par_llr)
         assert np.allclose(ext, llr - sys_llr)
 
+    def test_rejects_state_with_three_incoming_branches(self):
+        rsc = RscCode()
+        rsc.next_state[2] = rsc.next_state[0]  # states 0 and 4 gain a third
+        with pytest.raises(ValueError, match="incoming"):
+            BcjrTrellis(rsc)
+
+    def test_rejects_state_with_one_outgoing_branch(self):
+        rsc = RscCode()
+        rsc.next_state = rsc.next_state[:, :1]
+        with pytest.raises(ValueError, match="outgoing"):
+            BcjrTrellis(rsc)
+
 
 class TestTurbo:
     def test_rate_one_fifth(self):
@@ -156,6 +168,17 @@ class TestStriderCodec:
         passes.append(codec.pass_symbols(layers, 4, 0, t // 2))
         decoded = codec.decode(passes, noise_power=1e-6)
         assert np.array_equal(decoded, msg)
+
+    def test_zero_dim_array_noise_power(self):
+        """A 0-d ndarray noise power is a scalar, not a per-pass list."""
+        codec = StriderCodec(n_bits=480, n_layers=4, max_passes=8)
+        msg = random_message(480, 4)
+        layers = codec.encode_layers(msg)
+        passes = [codec.pass_symbols(layers, p) for p in range(4)]
+        decoded = codec.decode(passes, noise_power=np.array(1e-6))
+        assert np.array_equal(decoded, msg)
+        assert np.array_equal(
+            decoded, codec.decode(passes, noise_power=1e-6))
 
     def test_layer_count_must_divide(self):
         with pytest.raises(ValueError):
