@@ -3,14 +3,14 @@
 Measures messages/second through the full rateless Monte-Carlo loop
 (encode, channel, probe + bisect decode) for three engines on AWGN:
 
-- ``scalar_rebuild`` — the pre-batching hot path: one message at a time,
-  rebuilding the received-symbol store from per-symbol Python lists on
-  every decode attempt (faithful re-implementation, kept here as the
-  regression baseline);
-- ``scalar`` — the current scalar engine: one incremental columnar store
-  per session, prefix-view decode attempts;
+- ``scalar_rebuild`` — one message at a time, rebuilding a fresh
+  received-symbol store from every transmitted block on every decode
+  attempt (the pre-batching session shape, kept here as the regression
+  baseline);
+- ``scalar`` — one-message sessions: one incremental store per session,
+  prefix-view decode attempts;
 - ``batch`` — ``measure_scheme(batch_size=...)``: whole cohorts decoded by
-  the vectorised batch bubble decoder;
+  one vectorised bubble search;
 
 and for the two current engines on Rayleigh block fading with full CSI at
 the receiver (the Figure 8-4 configuration) — fading cohorts used to bail
@@ -18,10 +18,7 @@ out of the batch pipeline entirely, so ``fading_speedup_batch_vs_scalar``
 is the one to watch for the paper's slowest sweeps.
 
 Every engine pair produces the *same* :class:`RateMeasurement` (asserted),
-so this is a pure speed comparison.  Note the scalar store rewrite is
-roughly speed-neutral on its own (decode arithmetic dominates a scalar
-session); its payoff is the checkpointed prefix views the batch pipeline
-is built on.  Writes ``bench_results/BENCH_decoder_throughput.json``
+so this is a pure speed comparison.  Writes ``bench_results/BENCH_decoder_throughput.json``
 including the speedups and records it into the bench history
 (``bench_results/history/``); regression gating lives in
 ``python -m repro.obs.perf compare`` — noise-aware thresholds against
@@ -40,6 +37,7 @@ from repro.channels import AWGNChannel, RayleighBlockFadingChannel
 from repro.core.decoder import BubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
+from repro.core.symbols import ReceivedSymbols
 from repro.obs import clock
 from repro.simulation import SpinalScheme, measure_scheme
 from repro.simulation.engine import probe_schedule
@@ -48,36 +46,8 @@ from repro.utils.bitops import random_message
 from _common import write_json
 
 
-class _ListStore:
-    """The seed repo's ReceivedSymbols: per-symbol Python list appends."""
-
-    def __init__(self, n_spine):
-        self.n_spine = n_spine
-        self._slots = [[] for _ in range(n_spine)]
-        self._values = [[] for _ in range(n_spine)]
-        self._count = 0
-
-    @property
-    def n_symbols(self):
-        return self._count
-
-    def add_block(self, spine_indices, slots, values):
-        for j in range(values.size):
-            i = int(spine_indices[j])
-            self._slots[i].append(int(slots[j]))
-            self._values[i].append(values[j])
-        self._count += values.size
-
-    def for_spine(self, i):
-        return (
-            np.asarray(self._slots[i], dtype=np.uint32),
-            np.asarray(self._values[i], dtype=np.complex128),
-            None,
-        )
-
-
 def _legacy_run_message(params, dec, message, channel, probe_growth):
-    """Pre-batching session: rebuild the whole store on every attempt."""
+    """Pre-batching session shape: rebuild the whole store on every attempt."""
     encoder = SpinalEncoder(params, message)
     decoder = BubbleDecoder(params, dec, message.size)
     blocks = []
@@ -89,7 +59,7 @@ def _legacy_run_message(params, dec, message, channel, probe_growth):
 
     def attempt(n):
         ensure(n)
-        store = _ListStore(encoder.n_spine)
+        store = ReceivedSymbols(encoder.n_spine)
         for block, values in blocks[:n]:
             store.add_block(block.spine_indices, block.slots, values)
         return decoder.decode(store).matches(message)

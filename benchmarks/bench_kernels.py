@@ -9,12 +9,14 @@ kernel, not just "decode got slower":
 - ``hash``: every registered spine hash (:func:`repro.core.hashes.
   available_hashes`) over beam-sized and cohort-sized uint32 state arrays,
   the exact shapes the tree expansion hashes each step;
-- ``branch_cost``: :meth:`BubbleDecoder._branch_costs` — broadcast hash +
-  distance arithmetic over all received symbols of one spine position —
-  for the paper's AWGN code, the rate-1/3 BSC code, and a fading store
-  with per-symbol CSI;
+- ``branch_cost``: the backend's ``branch_costs_batch`` kernel on one
+  message's panel of one spine position, exactly what a decoder step
+  passes it — broadcast hash + distance arithmetic over all received
+  symbols of that position — for the paper's AWGN code, the rate-1/3 BSC
+  code, and a fading store with per-symbol CSI;
 - ``select``: :func:`repro.core.decoder.select_beams` (argpartition
-  subtree pruning) in scalar (1-D) and batch-cohort (2-D) shapes.
+  subtree pruning) for one message (a one-row input) and a 16-message
+  cohort.
 
 The hash and branch-cost benchmarks run once per available backend
 (:mod:`repro.backend`): numpy always, numba when installed.  numpy records
@@ -36,13 +38,13 @@ import numpy as np
 import pytest
 
 from _common import write_json
-from repro.backend import use_backend
+from repro.backend import get_backend, use_backend
 from repro.backend.numba_backend import NUMBA_AVAILABLE
 from repro.channels import AWGNChannel, BSCChannel
-from repro.core.decoder import BubbleDecoder, select_beams
+from repro.core.decoder import select_beams
 from repro.core.encoder import SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
-from repro.core.params import DecoderParams, SpinalParams
+from repro.core.params import SpinalParams
 from repro.core.symbols import ReceivedSymbols
 from repro.utils.bitops import random_message
 
@@ -159,6 +161,19 @@ def _filled_store(params, n_bits, x, n_subpasses=4, seed=99):
     return store
 
 
+def _branch_cost_step(params, store, states):
+    """One decoder step's branch-cost call: spine position 1 of ``store``.
+
+    Binds the active backend now, as a decoder does at construction.
+    """
+    kernel = get_backend().branch_costs_batch
+    slots, values, csi = store.batch_view().for_spine(1)
+    levels = params.make_mapping().levels
+    return lambda: kernel(
+        states[None, :], slots, values, csi, hash_name=params.hash_name,
+        levels=levels, c=params.c, is_bsc=params.is_bsc)[0]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("config", sorted(CONFIGS), ids=sorted(CONFIGS))
 def test_branch_cost_kernel(benchmark, kernel_records, config, backend):
@@ -167,9 +182,7 @@ def test_branch_cost_kernel(benchmark, kernel_records, config, backend):
     states = np.random.default_rng(3).integers(
         0, 2**32, size=BEAM, dtype=np.uint32)
     with use_backend(backend):
-        # the decoder binds its backend at construction
-        decoder = BubbleDecoder(params, DecoderParams(B=256), n_bits)
-        costs = benchmark(decoder._branch_costs, states, 1, store)
+        costs = benchmark(_branch_cost_step(params, store, states))
     assert costs.shape == (BEAM,) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"{config}{_suffix(backend)}",
@@ -193,8 +206,7 @@ def test_branch_cost_kernel_fading_csi(benchmark, kernel_records, backend):
     states = np.random.default_rng(3).integers(
         0, 2**32, size=BEAM, dtype=np.uint32)
     with use_backend(backend):
-        decoder = BubbleDecoder(params, DecoderParams(B=256), 32)
-        costs = benchmark(decoder._branch_costs, states, 1, csi_store)
+        costs = benchmark(_branch_cost_step(params, csi_store, states))
     assert costs.shape == (BEAM,) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"awgn_k4_c6_csi{_suffix(backend)}",
@@ -205,14 +217,14 @@ def test_branch_cost_kernel_fading_csi(benchmark, kernel_records, backend):
 # selection kernel (backend-shared by contract; measured once)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("shape,n_beam", [
-    ((BEAM,), 256),
-    ((16, BEAM), 256),
-], ids=["scalar", "batch16"])
-def test_select_kernel(benchmark, kernel_records, shape, n_beam):
-    costs = np.random.default_rng(5).random(shape)
+@pytest.mark.parametrize("n_rows", [1, 16], ids=["one_message", "batch16"])
+def test_select_kernel(benchmark, kernel_records, n_rows):
+    n_beam = 256
+    costs = np.random.default_rng(5).random((n_rows, BEAM))
     kept = benchmark(select_beams, costs, n_beam)
-    assert kept.shape[-1] == n_beam
+    assert kept.shape == (n_rows, n_beam)
+    # one message keeps its historical "<n>/B<beam>" record name
+    shape = (BEAM,) if n_rows == 1 else (n_rows, BEAM)
     _record(kernel_records, benchmark, "select",
             f"{'x'.join(map(str, shape))}/B{n_beam}",
-            shape=list(shape), n_beam=n_beam)
+            shape=[n_rows, BEAM], n_beam=n_beam)

@@ -4,7 +4,9 @@ A :class:`Backend` bundles the three hot kernel families of the decode
 path — the u32 spine hashes, the branch-cost inner loops, and beam
 selection — behind one explicit object, so the decoder binds a backend
 once at construction and the rest of the system never cares how the
-arithmetic is executed.
+arithmetic is executed.  The decoder searches M messages at once (one
+message is M=1), so each kernel has one arithmetic body over a leading
+message axis.
 
 The contract is **bit-identical output**: every backend must reproduce
 the numpy reference implementation exactly — same uint32 hash words, same
@@ -53,19 +55,22 @@ class Backend:
         ``lookup3``, ``salsa20``), each with the broadcasting
         ``h(state: u32, data: u32) -> u32`` signature of
         :mod:`repro.core.hashes`.
-    branch_costs:
-        Scalar branch-cost kernel: ``(states (n,), slots (s,), values,
-        csi | None, *, hash_name, levels, c, is_bsc) -> costs (n,)``.
-        Sums, over the received symbols of one spine position, the squared
-        distance (AWGN; coherent ``|y - h x|^2`` when CSI is present) or
-        Hamming distance (BSC) between each candidate state's symbols and
-        the received values.  Owns its ``repro.obs`` kernel timing.
     branch_costs_batch:
-        Batch variant: ``states (M, n)``, per-message ``values``/``csi``
-        rows ``(M, s)`` -> costs ``(M, n)``.
+        The branch-cost kernel: ``(states (M, n), slots (s,), values
+        (M, s), csi (M, s) | None, *, hash_name, levels, c, is_bsc) ->
+        costs (M, n)``.  Sums, over the received symbols of one spine
+        position, the squared distance (AWGN; coherent ``|y - h x|^2`` when
+        CSI is present) or Hamming distance (BSC) between each candidate
+        state's symbols and each message's received values.  Owns its
+        ``repro.obs`` kernel timing.  This is the one arithmetic body a
+        backend implements.
+    branch_costs:
+        One message, ``states (n,)``, ``values``/``csi`` ``(s,)`` ->
+        ``(n,)``: the M=1 call of ``branch_costs_batch``.
     select_beams:
-        ``(group_costs (n,) | (M, n), n_beam) -> indices`` beam pruning;
-        the surviving index *order* is part of the decode contract.
+        ``(group_costs (M, n), n_beam) -> indices (M, n_keep)`` beam
+        pruning per row; the surviving index *order* is part of the
+        decode contract.
     """
 
     name: str

@@ -202,11 +202,12 @@ def _hash_flat(hid: int, states: np.ndarray, datas: np.ndarray,
 
 
 @njit(cache=True)
-def _branch_awgn(hid: int, states: np.ndarray, slots: np.ndarray,
-                 vre: np.ndarray, vim: np.ndarray, cre: np.ndarray,
-                 cim: np.ndarray, have_csi: bool,
-                 levels: np.ndarray, c: int, out: np.ndarray) -> None:
-    """Fused AWGN/fading branch costs: states (n,) -> out (n,).
+def _branch_awgn_batch(hid: int, states: np.ndarray, slots: np.ndarray,
+                       vre: np.ndarray, vim: np.ndarray, cre: np.ndarray,
+                       cim: np.ndarray, have_csi: bool,
+                       levels: np.ndarray, c: int,
+                       out: np.ndarray) -> None:
+    """Fused AWGN/fading branch costs: states (M, n), per-message rows (M, s).
 
     Slot loop ascends so the accumulation order equals numpy's sequential
     leading-axis reduction; ``cre``/``cim`` are ignored unless
@@ -214,57 +215,39 @@ def _branch_awgn(hid: int, states: np.ndarray, slots: np.ndarray,
     """
     cmask = (np.uint64(1) << np.uint64(c)) - np.uint64(1)
     cshift = np.uint64(c)
-    for i in range(states.size):
-        s = np.uint64(states[i])
-        acc = 0.0
-        for t in range(slots.size):
-            w = _hash_word(hid, s, np.uint64(slots[t]))
-            x_i = levels[np.intp(w & cmask)]
-            x_q = levels[np.intp((w >> cshift) & cmask)]
-            if have_csi:
-                f_r = cre[t] * x_i - cim[t] * x_q
-                f_q = cre[t] * x_q + cim[t] * x_i
-                d_r = vre[t] - f_r
-                d_q = vim[t] - f_q
-            else:
-                d_r = vre[t] - x_i
-                d_q = vim[t] - x_q
-            acc = acc + (d_r * d_r + d_q * d_q)
-        out[i] = acc
-
-
-@njit(cache=True)
-def _branch_bsc(hid: int, states: np.ndarray, slots: np.ndarray,
-                values: np.ndarray, out: np.ndarray) -> None:
-    """Fused BSC branch costs (Hamming distance on the low hash bit)."""
-    for i in range(states.size):
-        s = np.uint64(states[i])
-        acc = 0.0
-        for t in range(slots.size):
-            w = _hash_word(hid, s, np.uint64(slots[t]))
-            bit = np.float64(w & np.uint64(1))
-            acc = acc + abs(bit - values[t])
-        out[i] = acc
-
-
-@njit(cache=True)
-def _branch_awgn_batch(hid: int, states: np.ndarray, slots: np.ndarray,
-                       vre: np.ndarray, vim: np.ndarray, cre: np.ndarray,
-                       cim: np.ndarray, have_csi: bool,
-                       levels: np.ndarray, c: int,
-                       out: np.ndarray) -> None:
-    """Batch AWGN/fading: states (M, n), per-message rows (M, s)."""
     for m in range(states.shape[0]):
-        _branch_awgn(hid, states[m], slots, vre[m], vim[m], cre[m], cim[m],
-                     have_csi, levels, c, out[m])
+        for i in range(states.shape[1]):
+            s = np.uint64(states[m, i])
+            acc = 0.0
+            for t in range(slots.size):
+                w = _hash_word(hid, s, np.uint64(slots[t]))
+                x_i = levels[np.intp(w & cmask)]
+                x_q = levels[np.intp((w >> cshift) & cmask)]
+                if have_csi:
+                    f_r = cre[m, t] * x_i - cim[m, t] * x_q
+                    f_q = cre[m, t] * x_q + cim[m, t] * x_i
+                    d_r = vre[m, t] - f_r
+                    d_q = vim[m, t] - f_q
+                else:
+                    d_r = vre[m, t] - x_i
+                    d_q = vim[m, t] - x_q
+                acc = acc + (d_r * d_r + d_q * d_q)
+            out[m, i] = acc
 
 
 @njit(cache=True)
 def _branch_bsc_batch(hid: int, states: np.ndarray, slots: np.ndarray,
                       values: np.ndarray, out: np.ndarray) -> None:
-    """Batch BSC: states (M, n), per-message value rows (M, s)."""
+    """Fused BSC branch costs (Hamming distance on the low hash bit)."""
     for m in range(states.shape[0]):
-        _branch_bsc(hid, states[m], slots, values[m], out[m])
+        for i in range(states.shape[1]):
+            s = np.uint64(states[m, i])
+            acc = 0.0
+            for t in range(slots.size):
+                w = _hash_word(hid, s, np.uint64(slots[t]))
+                bit = np.float64(w & np.uint64(1))
+                acc = acc + abs(bit - values[m, t])
+            out[m, i] = acc
 
 
 def _make_hash(hid: int) -> HashFn:
@@ -294,35 +277,13 @@ def branch_costs(
     c: int,
     is_bsc: bool,
 ) -> np.ndarray:
-    """Scalar branch costs via the fused kernels: states (n,) -> (n,)."""
-    states = np.ascontiguousarray(states, dtype=np.uint32)
-    if slots.size == 0:
-        return np.zeros(states.size, dtype=np.float64)
-    hid = _HASH_IDS[hash_name]
-    slots_u = np.ascontiguousarray(slots, dtype=np.uint32)
-    out = np.empty(states.size, dtype=np.float64)
-    _on = OBS.enabled
-    if _on:
-        t0 = clock()
-    if is_bsc:
-        _branch_bsc(hid, states, slots_u,
-                    np.ascontiguousarray(values, dtype=np.float64), out)
-    else:
-        vre = np.ascontiguousarray(values.real)
-        vim = np.ascontiguousarray(values.imag)
-        if csi is None:
-            _branch_awgn(hid, states, slots_u, vre, vim, vre, vim, False,
-                         levels, c, out)
-        else:
-            _branch_awgn(hid, states, slots_u, vre, vim,
-                         np.ascontiguousarray(csi.real),
-                         np.ascontiguousarray(csi.imag), True,
-                         levels, c, out)
-    if _on:
-        # Fused kernel: hash + distance in one pass, timed wholly as
-        # kernel.branch_cost (kernel.hash then counts tree expansion only).
-        OBS.add_time("kernel.branch_cost", clock() - t0)
-    return out
+    """One message's branch costs, states (n,) -> (n,): the M=1 case of
+    :func:`branch_costs_batch`."""
+    return branch_costs_batch(
+        np.asarray(states)[None, :], slots, np.asarray(values)[None, :],
+        None if csi is None else np.asarray(csi)[None, :],
+        hash_name=hash_name, levels=levels, c=c, is_bsc=is_bsc,
+    )[0]
 
 
 def branch_costs_batch(
@@ -336,7 +297,7 @@ def branch_costs_batch(
     c: int,
     is_bsc: bool,
 ) -> np.ndarray:
-    """Batch branch costs via the fused kernels: states (M, n) -> (M, n)."""
+    """Branch costs of M messages via the fused kernels: (M, n) -> (M, n)."""
     states = np.ascontiguousarray(states, dtype=np.uint32)
     n_msgs, n_states = states.shape
     if slots.size == 0:
@@ -385,16 +346,12 @@ def _warmup() -> None:
     states = np.arange(4, dtype=np.uint32)
     slots = np.arange(2, dtype=np.uint32)
     levels = np.array([-1.0, 1.0], dtype=np.float64)
-    v = np.zeros(2, dtype=np.float64)
     out_w = np.empty(4, dtype=np.uint32)
-    out_f = np.empty(4, dtype=np.float64)
     states2 = states.reshape(2, 2)
     v2 = np.zeros((2, 2), dtype=np.float64)
     out_f2 = np.empty((2, 2), dtype=np.float64)
     for hid in sorted(_HASH_IDS.values()):
         _hash_flat(hid, states, states, out_w)
-    _branch_awgn(0, states, slots, v, v, v, v, False, levels, 1, out_f)
-    _branch_bsc(0, states, slots, v, out_f)
     _branch_awgn_batch(0, states2, slots, v2, v2, v2, v2, False, levels, 1,
                        out_f2)
     _branch_bsc_batch(0, states2, slots, v2, out_f2)

@@ -1,8 +1,7 @@
-"""The numpy reference backend — the bit-exactness contract, moved intact.
+"""The numpy reference backend — the bit-exactness contract.
 
-These are the exact kernels the decoder ran before the backend seam
-existed: the vectorised branch-cost bodies of ``BubbleDecoder`` /
-``BatchBubbleDecoder`` and the ``argpartition`` beam selection, plus the
+One vectorised branch-cost body over a leading message axis (a single
+message is the M=1 case), the ``argpartition`` beam selection, and the
 reference hash implementations of :mod:`repro.core.hashes`.  Every other
 backend is judged against this one — same uint32 words, same float64
 reduction order (the slot axis leads, so the sum over received symbols
@@ -27,8 +26,8 @@ _U32 = np.uint32
 
 # Lazily bound reference-hash registry (resolving it at import time would
 # close the hashes -> backend -> hashes import cycle the wrong way round).
-# Bound once: the scalar decoder calls branch_costs per spine position per
-# attempt, so per-call registry rebuilds would be pure overhead.
+# Bound once: the decoder calls the branch-cost kernel per spine position
+# per attempt, so per-call registry rebuilds would be pure overhead.
 _HASHES: dict[str, HashFn] | None = None
 
 
@@ -42,19 +41,14 @@ def _hash_fn(name: str) -> HashFn:
 
 
 def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
-    """Indices of the ``n_beam`` cheapest candidate subtrees (per row).
+    """Indices of the ``n_beam`` cheapest candidates of each row.
 
-    A 1-D input is one message's flattened candidate costs (scalar
-    decoder); a 2-D input selects along axis 1 for every message of a
-    batch.  Both shapes use ``argpartition`` with introselect order
-    preserved — the surviving index sets *and their order* are part of
-    the decode contract, so all backends share this implementation.
+    ``group_costs`` is ``(M, n)``, one row of flattened candidate-subtree
+    costs per message; selection runs ``argpartition`` along axis 1 with
+    introselect order preserved — the surviving index sets *and their
+    order* are part of the decode contract, so all backends share this
+    implementation.
     """
-    if group_costs.ndim == 1:
-        n_keep = min(n_beam, group_costs.size)
-        if n_keep < group_costs.size:
-            return np.argpartition(group_costs, n_keep - 1)[:n_keep]
-        return np.arange(group_costs.size)
     n_keep = min(n_beam, group_costs.shape[1])
     if n_keep < group_costs.shape[1]:
         return np.argpartition(group_costs, n_keep - 1, axis=1)[:, :n_keep]
@@ -72,52 +66,13 @@ def branch_costs(
     c: int,
     is_bsc: bool,
 ) -> np.ndarray:
-    """Scalar branch costs: ``states (n,)`` -> ``costs (n,)``.
-
-    Sums over every received symbol of one spine position: all passes
-    plus tail symbols arrive as distinct slots, evaluated in one
-    broadcast hash of shape ``(n_slots, n_states)``.
-    """
-    states = np.asarray(states, dtype=np.uint32)
-    if slots.size == 0:
-        return np.zeros(states.size, dtype=np.float64)
-    # Metrics discipline (see repro.obs): snapshot the flag, time with
-    # plain clock reads, flush once — disabled cost is one branch.
-    _on = OBS.enabled
-    if _on:
-        t0 = clock()
-    hash_fn = _hash_fn(hash_name)
-    words = hash_fn(states[None, :], np.asarray(slots, np.uint32)[:, None])
-    if _on:
-        t1 = clock()
-        OBS.add_time("kernel.hash", t1 - t0)
-    if is_bsc:
-        bits = (words & _U32(1)).astype(np.float64)
-        out = np.abs(bits - values[:, None]).sum(axis=0)
-        if _on:
-            OBS.add_time("kernel.branch_cost", clock() - t1)
-        return out
-    c_mask = _U32((1 << c) - 1)
-    x_i = levels[(words & c_mask).astype(np.intp)]
-    x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
-    if csi is None:
-        d_r = values.real[:, None] - x_i
-        d_q = values.imag[:, None] - x_q
-    else:
-        # Coherent metric |y - h x|^2 with the complex product h*x spelled
-        # as separately-rounded real ufuncs.  numpy's complex-multiply loop
-        # may contract into FMAs on hosts that have them, which would make
-        # the reference costs machine-dependent in the last ulp — explicit
-        # real ops pin one rounding sequence everywhere, and it is the
-        # sequence a scalar kernel (numba) reproduces exactly.
-        f_r = csi.real[:, None] * x_i - csi.imag[:, None] * x_q
-        f_q = csi.real[:, None] * x_q + csi.imag[:, None] * x_i
-        d_r = values.real[:, None] - f_r
-        d_q = values.imag[:, None] - f_q
-    out = (d_r * d_r + d_q * d_q).sum(axis=0)
-    if _on:
-        OBS.add_time("kernel.branch_cost", clock() - t1)
-    return out
+    """One message's branch costs, ``states (n,)`` -> ``costs (n,)``: the
+    M=1 case of :func:`branch_costs_batch`."""
+    return branch_costs_batch(
+        np.asarray(states)[None, :], slots, np.asarray(values)[None, :],
+        None if csi is None else np.asarray(csi)[None, :],
+        hash_name=hash_name, levels=levels, c=c, is_bsc=is_bsc,
+    )[0]
 
 
 def branch_costs_batch(
@@ -131,12 +86,15 @@ def branch_costs_batch(
     c: int,
     is_bsc: bool,
 ) -> np.ndarray:
-    """Batch branch costs: ``states (M, n)`` -> ``costs (M, n)``.
+    """Branch costs of M messages: ``states (M, n)`` -> ``costs (M, n)``.
 
-    The slot axis leads exactly as in the scalar kernel's
-    ``(n_slots, n_states)``, so the sum reduces in the same order and the
-    coherent CSI metric performs the same complex product and component
-    subtractions — every message reproduces the scalar kernel bit for bit.
+    Sums, over the received symbols of one spine position (all passes plus
+    tail symbols arrive as distinct slots, evaluated in one broadcast hash
+    of shape ``(n_slots, M, n_states)``), the squared distance (AWGN;
+    coherent ``|y - h x|^2`` with CSI) or Hamming distance (BSC) between
+    each candidate state's symbols and the received values.  The slot axis
+    leads, so the sum accumulates in slot order for every message, the
+    same order the numba kernel uses.
     """
     states = np.asarray(states, dtype=np.uint32)
     n_msgs, n_states = states.shape
@@ -164,9 +122,13 @@ def branch_costs_batch(
         d_r = values.real.T[:, :, None] - x_i
         d_q = values.imag.T[:, :, None] - x_q
     else:
-        # Coherent metric |y - h x|^2 (§8.3): same separately-rounded real
-        # ops as the scalar kernel (see its comment on FMA contraction),
-        # broadcast over M.
+        # Coherent metric |y - h x|^2 (§8.3) with the complex product h*x
+        # spelled as separately-rounded real ufuncs.  numpy's
+        # complex-multiply loop may contract into FMAs on hosts that have
+        # them, which would make the reference costs machine-dependent in
+        # the last ulp — explicit real ops pin one rounding sequence
+        # everywhere, and it is the sequence a scalar kernel (numba)
+        # reproduces exactly.
         f_r = csi.real.T[:, :, None] * x_i - csi.imag.T[:, :, None] * x_q
         f_q = csi.real.T[:, :, None] * x_q + csi.imag.T[:, :, None] * x_i
         d_r = values.real.T[:, :, None] - f_r

@@ -43,7 +43,8 @@ class Channel:
     #: True when :meth:`transmit` reports per-symbol coefficients in
     #: ``ChannelOutput.csi`` (fading models).  The batch engine uses this
     #: to keep cohorts CSI-homogeneous — its store's CSI plane is
-    #: all-or-nothing across rows, so mixed cohorts take the scalar path.
+    #: all-or-nothing across rows, so mixed cohorts run one message at a
+    #: time.
     reports_csi = False
 
     @property
@@ -53,9 +54,9 @@ class Channel:
         The batched Monte-Carlo engine requires each message's output
         stream to be a pure function of its channel's constructor
         arguments and its own sequence of :meth:`transmit` calls; it
-        routes channels that can't promise this back to the scalar
-        engine.  Memoryless channels qualify trivially (the conservative
-        default this property derives).  Stateful models qualify only if
+        runs channels that can't promise this one message at a time.
+        Memoryless channels qualify trivially (the conservative default
+        this property derives).  Stateful models qualify only if
         their state is *not* coupled across instances or flows, and must
         opt in with an explicit class attribute after auditing — block
         fading does (its coherence block is per-instance); the
@@ -80,7 +81,7 @@ def transmit_batch(
     """Transmit row ``m`` of ``values`` through ``channels[m]``.
 
     Each message keeps its *own* channel (and noise generator), so the draws
-    are exactly the ones the scalar path would make for that message — the
+    are exactly the ones a one-message run would make for that message — the
     invariant the batched Monte-Carlo engine's bit-identical guarantee rests
     on.  Returns one :class:`ChannelOutput` whose rows stack the per-message
     outputs; ``csi`` stacks the per-symbol coefficients when the channels

@@ -15,14 +15,24 @@ the symbols the candidate state would have produced.  The *bubble* decoder
 ``d = 1`` is the classical M-algorithm / beam search; ``d = n/k`` recovers
 exact ML decoding.
 
-The implementation is fully vectorised: the beam is a ``(n_beam, W)`` array
-of uint32 leaf states with ``W = 2^(k(d-1))`` leaves per surviving subtree.
-One step hashes all ``n_beam * W * 2^k`` children at once, folds in branch
-costs over every received symbol of that spine position (all passes and
-tail symbols in a single broadcast hash), takes subtree minima, and selects
-the best ``B`` subtrees with ``argpartition``.  Backtracking records the
-surviving parent/edge per step; missing spine positions (puncturing) simply
-contribute zero branch cost, which matches §5 exactly.
+There is one search, and it is vectorised over messages as well as over
+the tree: the beam is an ``(M, n_beam, W)`` array of uint32 leaf states for
+M independent messages, with ``W = 2^(k(d-1))`` leaves per surviving
+subtree.  One step hashes all ``M * n_beam * W * 2^k`` children at once,
+folds in branch costs over every received symbol of that spine position
+(all passes and tail symbols in a single broadcast hash), takes subtree
+minima, and keeps the best ``B`` subtrees of each message with its own
+``argpartition`` row.  Amortising the fixed cost of each numpy call over M
+messages is what makes Monte-Carlo cohorts fast; a single message is the
+M=1 case.  Backtracking records the surviving candidate per step; missing
+spine positions (puncturing) simply contribute zero branch cost, which
+matches §5 exactly.
+
+:meth:`BubbleDecoder.decode` searches one message's
+:class:`~repro.core.symbols.ReceivedSymbols` (or a prefix of it);
+:meth:`BatchBubbleDecoder.decode_batch` searches a
+:class:`~repro.core.symbols.BatchReceivedView` of a cohort.  Both run the
+same search, and each message's result depends only on its own row.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import numpy as np
 from repro.backend import get_backend
 from repro.core.hashes import get_hash
 from repro.core.params import DecoderParams, SpinalParams
-from repro.core.symbols import BatchReceivedView, ReceivedSymbols
+from repro.core.symbols import BatchReceivedView, ReceivedPrefix, ReceivedSymbols
 from repro.obs import OBS, clock
 from repro.utils.bitops import pack_chunks
 
@@ -42,11 +52,10 @@ __all__ = ["BubbleDecoder", "BatchBubbleDecoder", "DecodeResult", "select_beams"
 
 
 def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
-    """Indices of the ``n_beam`` cheapest candidate subtrees (per row).
+    """Indices of the ``n_beam`` cheapest candidate subtrees of each row.
 
-    The beam-selection kernel: a 1-D input is one message's flattened
-    candidate costs (scalar decoder); a 2-D input selects along axis 1 for
-    every message of a batch.  Delegates to the active backend
+    The beam-selection kernel: ``group_costs`` is ``(M, n_candidates)``,
+    one row per message.  Delegates to the active backend
     (:mod:`repro.backend`); every backend preserves the reference
     ``argpartition`` introselect order, so the surviving index sets — and
     therefore decode results — are backend-invariant.
@@ -99,41 +108,20 @@ class BubbleDecoder:
         self.d = min(decoder_params.d, self.n_spine)
         self._W = (1 << self.k) ** (self.d - 1)
 
-    # ------------------------------------------------------------------
-    # branch costs
-    # ------------------------------------------------------------------
+    def decode(self, received: ReceivedSymbols | ReceivedPrefix) -> DecodeResult:
+        """Run the full bubble search over one message's stored symbols."""
+        return self._search(received.batch_view())[0]
 
-    def _branch_costs(
-        self, states: np.ndarray, spine_idx: int, received: ReceivedSymbols
-    ) -> np.ndarray:
-        """Cost of the edge *into* each candidate state at a spine position.
-
-        Sums over every received symbol of that position: all passes plus
-        tail symbols arrive as distinct slots.  The arithmetic lives in the
-        bound backend's ``branch_costs`` kernel (which owns its
-        ``repro.obs`` kernel timing); this method only slices the received
-        store for the spine position.
-        """
-        slots, values, csi = received.for_spine(spine_idx)
-        return self._backend.branch_costs(
-            states, slots, values, csi,
-            hash_name=self.params.hash_name,
-            levels=self._levels,
-            c=self.params.c,
-            is_bsc=self.params.is_bsc,
-        )
-
-    # ------------------------------------------------------------------
-    # tree search
-    # ------------------------------------------------------------------
-
-    def decode(self, received: ReceivedSymbols) -> DecodeResult:
-        """Run the full bubble search over the stored symbols."""
+    def _search(self, received: BatchReceivedView) -> list[DecodeResult]:
+        """The bubble search over every row of a batch view."""
         if received.n_spine != self.n_spine:
             raise ValueError("received-symbol store has mismatched spine length")
         k, K, d, W = self.k, 1 << self.k, self.d, self._W
+        M = received.n_rows
         edges = np.arange(K, dtype=np.uint32)
         hash_fn = self._hash_fn
+        backend = self._backend
+        params = self.params
         # Kernel timing accumulates in locals and flushes once at the end
         # (repro.obs hot-loop discipline: disabled cost is one branch per
         # step, no allocations).
@@ -141,149 +129,11 @@ class BubbleDecoder:
         t_hash = t_sel = 0.0
         n_hash = n_sel = 0
 
-        # Unpruned expansion of the first d-1 levels (builds the initial
-        # partial tree of Figure 4-1(a)).
-        leaf_states = np.full((1, 1), self.params.s0, dtype=np.uint32)
-        leaf_costs = np.zeros((1, 1), dtype=np.float64)
-        for step in range(d - 1):
-            if _on:
-                t0 = clock()
-            children = hash_fn(leaf_states[:, :, None], edges)
-            if _on:
-                t_hash += clock() - t0
-                n_hash += 1
-            bc = self._branch_costs(children.ravel(), step, received)
-            leaf_costs = (leaf_costs[:, :, None]
-                          + bc.reshape(children.shape)).reshape(1, -1)
-            leaf_states = children.reshape(1, -1)
-
-        # Main loop: one spine position per iteration; prune to B subtrees.
-        parent_hist: list[np.ndarray] = []
-        edge_hist: list[np.ndarray] = []
-        for step in range(d - 1, self.n_spine):
-            n_beam = leaf_states.shape[0]
-            if _on:
-                t0 = clock()
-            children = hash_fn(leaf_states[:, :, None], edges)  # (n_beam, W, K)
-            if _on:
-                t_hash += clock() - t0
-                n_hash += 1
-            bc = self._branch_costs(children.ravel(), step, received)
-            totals = leaf_costs[:, :, None] + bc.reshape(n_beam, W, K)
-            # Flat child index w*K+e spells the d base-2^k path digits with
-            # the first edge most significant, so a row-major reshape to
-            # (K, W) groups children by first edge = candidate subtree.
-            totals = totals.reshape(n_beam, K, W)
-            states3 = children.reshape(n_beam, K, W)
-            if _on:
-                t0 = clock()
-            group_costs = totals.min(axis=2).ravel()
-            sel = self._backend.select_beams(group_costs, self.dec.B)
-            parents = sel // K
-            sel_edges = sel % K
-            leaf_states = states3[parents, sel_edges, :]
-            leaf_costs = totals[parents, sel_edges, :]
-            if _on:
-                t_sel += clock() - t0
-                n_sel += 1
-            parent_hist.append(parents)
-            edge_hist.append(sel_edges)
-        if _on:
-            OBS.add_time("kernel.hash", t_hash, n_hash)
-            OBS.add_time("kernel.select", t_sel, n_sel)
-
-        # Best leaf overall, then backtrack.
-        flat_best = int(np.argmin(leaf_costs))
-        b_star, w_star = divmod(flat_best, W)
-        best_cost = float(leaf_costs[b_star, w_star])
-
-        rev_chunks: list[int] = []
-        b = b_star
-        for parents, sel_edges in zip(reversed(parent_hist), reversed(edge_hist)):
-            rev_chunks.append(int(sel_edges[b]))
-            b = int(parents[b])
-        chunks = list(reversed(rev_chunks))
-        # Within-subtree path: the d-1 base-2^k digits of w_star, MSB first.
-        digits = []
-        w = w_star
-        for _ in range(d - 1):
-            digits.append(w % K)
-            w //= K
-        chunks.extend(reversed(digits))
-
-        message = pack_chunks(np.asarray(chunks, dtype=np.uint32), k)
-        return DecodeResult(message, best_cost, received.n_symbols)
-
-
-class BatchBubbleDecoder(BubbleDecoder):
-    """Bubble decoder over a batch axis: M independent messages at once.
-
-    The beam is an ``(M, n_beam, W)`` array; every step hashes all
-    ``M * n_beam * W * 2^k`` children in one broadcast call and prunes each
-    message with its own ``argpartition`` row.  Amortising the fixed cost of
-    each numpy call over M messages is what makes Monte-Carlo sweeps fast —
-    the per-step arithmetic is unchanged.
-
-    Bit-exactness: the arithmetic is laid out so every message reproduces
-    the scalar :class:`BubbleDecoder` exactly — branch costs keep the slot
-    axis leading (same reduction order in the sum over received symbols),
-    the coherent CSI metric performs the same complex product and component
-    subtractions as the scalar branch, and selection/argmin operate on
-    contiguous per-message rows (same introselect order as the scalar 1-D
-    calls).  ``decode_batch`` over a batch store is therefore
-    result-identical to M scalar ``decode`` calls — including fading
-    cohorts decoded with full or phase-only CSI — which
-    ``tests/test_batch_equivalence.py`` asserts.
-    """
-
-    def _branch_costs_batch(
-        self, states: np.ndarray, spine_idx: int, received: BatchReceivedView
-    ) -> np.ndarray:
-        """Edge costs for ``states`` of shape (M, n_states) -> (M, n_states)."""
-        slots, values, csi = received.for_spine(spine_idx)
-        return self._backend.branch_costs_batch(
-            states, slots, values, csi,
-            hash_name=self.params.hash_name,
-            levels=self._levels,
-            c=self.params.c,
-            is_bsc=self.params.is_bsc,
-        )
-
-    def decode_batch(self, received: BatchReceivedView) -> list[DecodeResult]:
-        """Decode every message of a batch view in one vectorised search."""
-        if received.n_spine != self.n_spine:
-            raise ValueError("received-symbol store has mismatched spine length")
-        k, K, d, W = self.k, 1 << self.k, self.d, self._W
-        M = received.n_rows
-        edges = np.arange(K, dtype=np.uint32)
-        hash_fn = self._hash_fn
-        _on = OBS.enabled
-        t_hash = t_sel = 0.0
-        n_hash = n_sel = 0
-
-        # Unpruned expansion of the first d-1 levels.
-        leaf_states = np.full((M, 1, 1), self.params.s0, dtype=np.uint32)
+        leaf_states = np.full((M, 1, 1), params.s0, dtype=np.uint32)
         leaf_costs = np.zeros((M, 1, 1), dtype=np.float64)
-        for step in range(d - 1):
-            if _on:
-                t0 = clock()
-            children = hash_fn(leaf_states[:, :, :, None], edges)
-            if _on:
-                t_hash += clock() - t0
-                n_hash += 1
-            bc = self._branch_costs_batch(
-                children.reshape(M, -1), step, received
-            )
-            leaf_costs = (leaf_costs[:, :, :, None]
-                          + bc.reshape(children.shape)).reshape(M, 1, -1)
-            leaf_states = children.reshape(M, 1, -1)
-
-        # Main loop: identical structure to the scalar decoder, with every
-        # per-message array gaining a leading batch axis.
-        parent_hist: list[np.ndarray] = []
-        edge_hist: list[np.ndarray] = []
+        sel_hist: list[np.ndarray] = []
         row_idx = np.arange(M)[:, None]
-        for step in range(d - 1, self.n_spine):
+        for step in range(self.n_spine):
             n_beam = leaf_states.shape[1]
             if _on:
                 t0 = clock()
@@ -291,50 +141,70 @@ class BatchBubbleDecoder(BubbleDecoder):
             if _on:
                 t_hash += clock() - t0
                 n_hash += 1
-            bc = self._branch_costs_batch(
-                children.reshape(M, -1), step, received
+            # Cost of the edge into each child: the backend kernel sums over
+            # every received symbol of this spine position.
+            slots, values, csi = received.for_spine(step)
+            bc = backend.branch_costs_batch(
+                children.reshape(M, -1), slots, values, csi,
+                hash_name=params.hash_name, levels=self._levels,
+                c=params.c, is_bsc=params.is_bsc,
             )
-            totals = leaf_costs[:, :, :, None] + bc.reshape(M, n_beam, W, K)
-            totals = totals.reshape(M, n_beam, K, W)
-            states4 = children.reshape(M, n_beam, K, W)
+            totals = leaf_costs[:, :, :, None] + bc.reshape(children.shape)
+            if step < d - 1:
+                # Unpruned expansion of the first d-1 levels (the initial
+                # partial tree of Figure 4-1(a)).
+                leaf_states = children.reshape(M, 1, -1)
+                leaf_costs = totals.reshape(M, 1, -1)
+                continue
+            # Flat child index w*K+e spells the d base-2^k path digits with
+            # the first edge most significant, so a row-major reshape to
+            # (n_beam*K, W) groups children by (parent, first edge) =
+            # candidate subtree.
+            totals = totals.reshape(M, n_beam * K, W)
             if _on:
                 t0 = clock()
-            group_costs = totals.min(axis=3).reshape(M, n_beam * K)
-            sel = self._backend.select_beams(group_costs, self.dec.B)
-            parents = sel // K
-            sel_edges = sel % K
-            leaf_states = states4[row_idx, parents, sel_edges, :]
-            leaf_costs = totals[row_idx, parents, sel_edges, :]
+            sel = backend.select_beams(totals.min(axis=2), self.dec.B)
+            leaf_states = children.reshape(M, n_beam * K, W)[row_idx, sel]
+            leaf_costs = totals[row_idx, sel]
             if _on:
                 t_sel += clock() - t0
                 n_sel += 1
-            parent_hist.append(parents)
-            edge_hist.append(sel_edges)
+            # The selection may be a view into the full (M, n_beam*K)
+            # argpartition output; keep only the kept indices alive.
+            sel_hist.append(sel.copy())
         if _on:
             OBS.add_time("kernel.hash", t_hash, n_hash)
             OBS.add_time("kernel.select", t_sel, n_sel)
 
-        # Best leaf and backtrack, per message.
+        # Best leaf of each message, then backtrack: a kept candidate
+        # s = parent*K + edge names its parent beam slot and its edge.
         flat_costs = leaf_costs.reshape(M, -1)
         flat_best = np.argmin(flat_costs, axis=1)
         results: list[DecodeResult] = []
         for m in range(M):
-            b_star, w_star = divmod(int(flat_best[m]), W)
-            best_cost = float(flat_costs[m, flat_best[m]])
-            rev_chunks: list[int] = []
-            b = b_star
-            for parents, sel_edges in zip(
-                reversed(parent_hist), reversed(edge_hist)
-            ):
-                rev_chunks.append(int(sel_edges[m, b]))
-                b = int(parents[m, b])
-            chunks = list(reversed(rev_chunks))
-            digits = []
-            w = w_star
-            for _ in range(d - 1):
-                digits.append(w % K)
-                w //= K
-            chunks.extend(reversed(digits))
+            b, w = divmod(int(flat_best[m]), W)
+            chunks: list[int] = []
+            for sel in reversed(sel_hist):
+                b, edge = divmod(int(sel[m, b]), K)
+                chunks.append(edge)
+            chunks.reverse()
+            # Within-subtree path: the d-1 base-2^k digits of w, MSB first.
+            chunks.extend((w // K**j) % K for j in reversed(range(d - 1)))
             message = pack_chunks(np.asarray(chunks, dtype=np.uint32), k)
-            results.append(DecodeResult(message, best_cost, received.n_symbols))
+            results.append(DecodeResult(
+                message, float(flat_costs[m, flat_best[m]]), received.n_symbols))
         return results
+
+
+class BatchBubbleDecoder(BubbleDecoder):
+    """Bubble decoder over a batch axis: M independent messages at once.
+
+    Every message's result is exactly what :meth:`BubbleDecoder.decode`
+    gives for that message alone: branch costs keep the slot axis leading
+    (same reduction order in the sum over received symbols), and selection
+    and argmin work on contiguous per-message rows.
+    """
+
+    def decode_batch(self, received: BatchReceivedView) -> list[DecodeResult]:
+        """Decode every message of a batch view in one vectorised search."""
+        return self._search(received)

@@ -6,30 +6,30 @@ spine position, keeping the slot index of each symbol (so the decoder can
 replay the exact RNG draws) and, for fading channels, the per-symbol channel
 coefficient when the decoder is given fading information (§8.3).
 
-The store is columnar: per spine position, preallocated slot/value/csi rows
-of a 2-D array plus a fill count.  :meth:`ReceivedSymbols.add_block` is a
-vectorised group-by-spine scatter (one ``argsort`` + one fancy assignment
-per block, no Python loop over symbols), and :meth:`ReceivedSymbols.prefix`
-hands out O(1) views of any earlier fill state, which is what lets a
-rateless session keep a single incremental store across all of its decode
-attempts instead of rebuilding one per attempt.
+There is one store, :class:`BatchReceivedSymbols`: M messages that share
+one transmission plan (same spine indices and slots per subpass, e.g. a
+Monte-Carlo cohort over i.i.d. channels) keep their received values in
+``(n_spine, M, capacity)`` arrays plus per-spine fill counts.  Its
+:meth:`~BatchReceivedSymbols.add_block` is a vectorised group-by-spine
+scatter (one ``argsort`` + one fancy assignment per block, no Python loop
+over symbols), and :meth:`~BatchReceivedSymbols.prefix` hands out O(1)
+views of any earlier fill state for any subset of rows, which is what lets
+a rateless session keep a single incremental store across all of its
+decode attempts.  An optional per-symbol CSI plane of the same shape
+carries fading coefficients under an all-or-nothing discipline: CSI must
+arrive with the first block and keep arriving.
 
-:class:`BatchReceivedSymbols` is the same layout with a leading message
-axis: M independent messages that share one transmission plan (same spine
-indices and slots per subpass, e.g. a Monte-Carlo cohort over i.i.d.
-channels) store their received values in ``(n_spine, M, capacity)`` arrays
-so the batch decoder can pull ``(rows, slots)`` panels per spine position.
-Like the scalar store it optionally carries a per-symbol CSI plane of the
-same shape (fading cohorts decoded with channel knowledge, §8.3), under
-the same all-or-nothing discipline: CSI must arrive with the first block
-and keep arriving.
+:class:`ReceivedSymbols` and :class:`ReceivedPrefix` are the one-message
+faces of that store (M=1): 1-D blocks in, 1-D ``for_spine`` panels out,
+and :meth:`ReceivedSymbols.batch_view` / :meth:`ReceivedPrefix.batch_view`
+for the bubble decoder, which always searches a batch view.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ReceivedSymbols", "BatchReceivedSymbols"]
+__all__ = ["ReceivedSymbols", "ReceivedPrefix", "BatchReceivedSymbols", "BatchReceivedView"]
 
 _INITIAL_CAPACITY = 4
 
@@ -79,18 +79,40 @@ def _grown(arr: np.ndarray, capacity: int) -> np.ndarray:
     return out
 
 
-class _ColumnarStore:
-    """Shared plumbing of the scalar and batch stores: preallocated
-    column arrays that grow by doubling, plus checkpoint bookkeeping."""
+class BatchReceivedSymbols:
+    """Columnar store for M messages sharing one transmission plan.
 
-    def __init__(self, n_spine: int, complex_valued: bool):
+    All messages receive symbols for the same (spine, slot) layout — the
+    i.i.d.-channel Monte-Carlo setting — so slots are stored once and values
+    carry a leading message axis.  Rows (messages) may stop receiving at
+    different subpasses (a decoded message leaves the cohort); a
+    :meth:`prefix` view pairs a row subset with a per-spine count snapshot,
+    and only columns below that snapshot are ever read for those rows.
+    Column arrays grow by doubling.
+    """
+
+    def __init__(self, n_spine: int, n_messages: int, complex_valued: bool = True):
         self.n_spine = n_spine
+        self.n_messages = n_messages
         self.complex_valued = complex_valued
-        self._vtype = np.complex128 if complex_valued else np.float64
         self._capacity = _INITIAL_CAPACITY
         self._slots = np.zeros((n_spine, self._capacity), dtype=np.uint32)
+        self._values = np.zeros(
+            (n_spine, n_messages, self._capacity),
+            dtype=np.complex128 if complex_valued else np.float64,
+        )
         self._csi: np.ndarray | None = None
+        self._has_csi = False
         self._counts = np.zeros(n_spine, dtype=np.int64)
+
+    @property
+    def has_csi(self) -> bool:
+        return self._has_csi
+
+    @property
+    def n_symbols(self) -> int:
+        """Symbols in the shared layout (per message that received them all)."""
+        return int(self._counts.sum())
 
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._capacity:
@@ -107,172 +129,6 @@ class _ColumnarStore:
     def checkpoint(self) -> np.ndarray:
         """Snapshot of the per-spine fill counts (give to :meth:`prefix`)."""
         return self._counts.copy()
-
-    def _validated_checkpoint(self, counts: np.ndarray) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (self.n_spine,) or (counts > self._counts).any():
-            raise ValueError("checkpoint does not match this store")
-        return counts
-
-
-class ReceivedSymbols(_ColumnarStore):
-    """Per-spine-position store of (slot, value[, csi]) observations."""
-
-    def __init__(self, n_spine: int, complex_valued: bool = True):
-        super().__init__(n_spine, complex_valued)
-        self._values = np.zeros((n_spine, self._capacity), dtype=self._vtype)
-        self._has_csi = False
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def n_symbols(self) -> int:
-        return self._count
-
-    @property
-    def has_csi(self) -> bool:
-        return self._has_csi
-
-    def add_block(
-        self,
-        spine_indices: np.ndarray,
-        slots: np.ndarray,
-        values: np.ndarray,
-        csi: np.ndarray | None = None,
-    ) -> None:
-        """Record a received symbol block (one or more subpasses)."""
-        spine_indices = np.asarray(spine_indices)
-        slots = np.asarray(slots)
-        values = np.asarray(values)
-        if not (spine_indices.size == slots.size == values.size):
-            raise ValueError("spine_indices, slots and values must align")
-        if csi is not None:
-            csi = np.asarray(csi)
-            if csi.size != values.size:
-                raise ValueError("csi must align with values")
-            if not self._has_csi and self._count:
-                # Earlier symbols have no coefficient; zero-filling them
-                # would silently corrupt branch costs.
-                raise ValueError(
-                    "store already holds CSI-less symbols; CSI must be "
-                    "provided from the first block"
-                )
-            self._has_csi = True
-            if self._csi is None:
-                self._csi = np.zeros(
-                    (self.n_spine, self._capacity), dtype=np.complex128
-                )
-        elif self._has_csi and values.size:
-            raise ValueError("store already holds CSI; blocks must keep providing it")
-        if values.size == 0:
-            return
-        order, rows, cols, uniq, cnt = _scatter_layout(
-            spine_indices, self.n_spine, self._counts
-        )
-        self._ensure_capacity(int(cols.max()) + 1)
-        slots, values = slots.ravel(), values.ravel()
-        if order is not None:
-            slots, values = slots[order], values[order]
-        self._slots[rows, cols] = slots
-        self._values[rows, cols] = values
-        if csi is not None:
-            csi = csi.ravel()
-            self._csi[rows, cols] = csi if order is None else csi[order]
-        self._counts[uniq] += cnt
-        self._count += values.size
-
-    def for_spine(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(slots, values, csi-or-None) array views for spine position ``i``."""
-        c = self._counts[i]
-        csi = self._csi[i, :c] if self._has_csi else None
-        return self._slots[i, :c], self._values[i, :c], csi
-
-    def prefix(self, counts: np.ndarray) -> "ReceivedPrefix":
-        """O(1) view of the store as it was at a :meth:`checkpoint`.
-
-        The view shares the underlying arrays; it stays valid as more blocks
-        are appended (appends only touch columns past the checkpoint).
-        """
-        return ReceivedPrefix(self, self._validated_checkpoint(counts))
-
-    def max_pass_count(self, tail_symbols: int) -> int:
-        """Upper bound on how many passes any spine position spans.
-
-        Used by the decoder to bound the slot range; slot indices for the
-        final spine position advance ``tail_symbols`` per pass.
-        """
-        return _max_pass_count(self._slots, self._counts, tail_symbols)
-
-
-def _max_pass_count(
-    slots: np.ndarray, counts: np.ndarray, tail_symbols: int
-) -> int:
-    filled = counts > 0
-    if not filled.any():
-        return 0
-    valid = np.arange(slots.shape[1])[None, :] < counts[:, None]
-    max_slot = np.where(valid, slots, 0).max(axis=1).astype(np.int64)
-    steps = np.ones(slots.shape[0], dtype=np.int64)
-    steps[-1] = tail_symbols
-    return int(np.where(filled, max_slot // steps + 1, 0).max())
-
-
-class ReceivedPrefix:
-    """Read-only view of a :class:`ReceivedSymbols` prefix (one checkpoint).
-
-    Implements the store interface the decoders consume (``n_spine``,
-    ``n_symbols``, ``for_spine``), so a session can decode "the symbols of
-    the first g subpasses" without copying anything.
-    """
-
-    def __init__(self, store: ReceivedSymbols, counts: np.ndarray):
-        self._store = store
-        self._counts = counts
-        self.n_spine = store.n_spine
-        self.complex_valued = store.complex_valued
-        self.n_symbols = int(counts.sum())
-
-    def __len__(self) -> int:
-        return self.n_symbols
-
-    @property
-    def has_csi(self) -> bool:
-        return self._store.has_csi
-
-    def for_spine(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        c = self._counts[i]
-        store = self._store
-        csi = store._csi[i, :c] if store.has_csi else None
-        return store._slots[i, :c], store._values[i, :c], csi
-
-    def max_pass_count(self, tail_symbols: int) -> int:
-        return _max_pass_count(self._store._slots, self._counts, tail_symbols)
-
-
-class BatchReceivedSymbols(_ColumnarStore):
-    """Columnar store for M messages sharing one transmission plan.
-
-    All messages receive symbols for the same (spine, slot) layout — the
-    i.i.d.-channel Monte-Carlo setting — so slots are stored once and values
-    carry a leading message axis.  Rows (messages) may stop receiving at
-    different subpasses (a decoded message leaves the cohort); a
-    :meth:`prefix` view pairs a row subset with a per-spine count snapshot,
-    and only columns below that snapshot are ever read for those rows.
-    """
-
-    def __init__(self, n_spine: int, n_messages: int, complex_valued: bool = True):
-        super().__init__(n_spine, complex_valued)
-        self.n_messages = n_messages
-        self._values = np.zeros(
-            (n_spine, n_messages, self._capacity), dtype=self._vtype
-        )
-        self._has_csi = False
-
-    @property
-    def has_csi(self) -> bool:
-        return self._has_csi
 
     def add_block(
         self,
@@ -295,6 +151,8 @@ class BatchReceivedSymbols(_ColumnarStore):
             rows_idx = np.arange(self.n_messages, dtype=np.intp)
         else:
             rows_idx = np.asarray(rows, dtype=np.intp)
+        if slots.size != spine_indices.size:
+            raise ValueError("spine_indices and slots must align")
         if values.shape != (rows_idx.size, spine_indices.size):
             raise ValueError("values must have shape (n_rows, block_length)")
         if csi is not None:
@@ -302,8 +160,8 @@ class BatchReceivedSymbols(_ColumnarStore):
             if csi.shape != values.shape:
                 raise ValueError("csi must align with values")
             if not self._has_csi and self._counts.any():
-                # Same rule as the scalar store: zero-filling earlier
-                # symbols' coefficients would silently corrupt branch costs.
+                # Earlier symbols have no coefficient; zero-filling them
+                # would silently corrupt branch costs.
                 raise ValueError(
                     "store already holds CSI-less symbols; CSI must be "
                     "provided from the first block"
@@ -334,21 +192,31 @@ class BatchReceivedSymbols(_ColumnarStore):
         self._counts[uniq] += cnt
 
     def prefix(self, rows: np.ndarray, counts: np.ndarray) -> "BatchReceivedView":
-        """Panel view: message subset ``rows`` at fill state ``counts``."""
-        return BatchReceivedView(
-            self, np.asarray(rows, dtype=np.intp),
-            self._validated_checkpoint(counts),
-        )
+        """Panel view: message subset ``rows`` at fill state ``counts``.
+
+        The view shares the underlying arrays; it stays valid as more blocks
+        are appended (appends only touch columns past the checkpoint).
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (self.n_spine,) or (counts > self._counts).any():
+            raise ValueError("checkpoint does not match this store")
+        return BatchReceivedView(self, np.asarray(rows, dtype=np.intp), counts)
 
 
 class BatchReceivedView:
-    """What :class:`repro.core.decoder.BatchBubbleDecoder` consumes."""
+    """What :class:`repro.core.decoder.BubbleDecoder` searches: a row subset
+    of a :class:`BatchReceivedSymbols` at one checkpoint."""
 
     def __init__(
         self, store: BatchReceivedSymbols, rows: np.ndarray, counts: np.ndarray
     ):
         self._store = store
         self.rows = rows
+        # Every row in store order (a whole cohort, or a one-message
+        # store) reads as a slice instead of a row gather.
+        self._sel: slice | np.ndarray = (
+            slice(None) if np.array_equal(rows, np.arange(store.n_messages))
+            else rows)
         self._counts = counts
         self.n_spine = store.n_spine
         self.n_rows = rows.size
@@ -365,5 +233,102 @@ class BatchReceivedView:
         """(slots, values, csi-or-None); values/csi shaped ``(n_rows, n_slots)``."""
         c = self._counts[i]
         store = self._store
-        csi = store._csi[i][self.rows, :c] if store.has_csi else None
-        return store._slots[i, :c], store._values[i][self.rows, :c], csi
+        csi = store._csi[i, self._sel, :c] if store.has_csi else None
+        return store._slots[i, :c], store._values[i, self._sel, :c], csi
+
+
+_ROW0 = np.zeros(1, dtype=np.intp)
+
+
+def _one_row(
+    panel: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A one-row ``for_spine`` panel as 1-D ``(slots, values, csi)``."""
+    slots, values, csi = panel
+    return slots, values[0], None if csi is None else csi[0]
+
+
+class ReceivedSymbols:
+    """One message's store of (slot, value[, csi]) observations.
+
+    The M=1 case of :class:`BatchReceivedSymbols`: blocks arrive as 1-D
+    arrays and :meth:`for_spine` returns 1-D panels.
+    """
+
+    def __init__(self, n_spine: int, complex_valued: bool = True):
+        self._batch = BatchReceivedSymbols(n_spine, 1, complex_valued)
+        self.n_spine = n_spine
+        self.complex_valued = complex_valued
+
+    def __len__(self) -> int:
+        return self.n_symbols
+
+    @property
+    def n_symbols(self) -> int:
+        return self._batch.n_symbols
+
+    @property
+    def has_csi(self) -> bool:
+        return self._batch.has_csi
+
+    def checkpoint(self) -> np.ndarray:
+        """Snapshot of the per-spine fill counts (give to :meth:`prefix`)."""
+        return self._batch.checkpoint()
+
+    def add_block(
+        self,
+        spine_indices: np.ndarray,
+        slots: np.ndarray,
+        values: np.ndarray,
+        csi: np.ndarray | None = None,
+    ) -> None:
+        """Record a received symbol block (one or more subpasses)."""
+        spine_indices = np.asarray(spine_indices).ravel()
+        if np.size(values) != spine_indices.size:
+            raise ValueError("spine_indices, slots and values must align")
+        if csi is not None:
+            csi = np.reshape(csi, (1, -1))
+        self._batch.add_block(
+            spine_indices, np.ravel(slots), np.reshape(values, (1, -1)),
+            csi=csi,
+        )
+
+    def batch_view(self) -> BatchReceivedView:
+        """The whole store as a one-row batch view (what the decoder reads)."""
+        return self._batch.prefix(_ROW0, self._batch.checkpoint())
+
+    def for_spine(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(slots, values, csi-or-None) arrays for spine position ``i``."""
+        return _one_row(self.batch_view().for_spine(i))
+
+    def prefix(self, counts: np.ndarray) -> "ReceivedPrefix":
+        """O(1) view of the store as it was at a :meth:`checkpoint`."""
+        return ReceivedPrefix(self._batch.prefix(_ROW0, counts))
+
+
+class ReceivedPrefix:
+    """Read-only view of a :class:`ReceivedSymbols` prefix (one checkpoint).
+
+    Implements the store interface the decoders consume (``n_spine``,
+    ``n_symbols``, ``for_spine``, ``batch_view``), so a session can decode
+    "the symbols of the first g subpasses" without copying anything.
+    """
+
+    def __init__(self, view: BatchReceivedView):
+        self._view = view
+        self.n_spine = view.n_spine
+        self.complex_valued = view.complex_valued
+        self.n_symbols = view.n_symbols
+
+    def __len__(self) -> int:
+        return self.n_symbols
+
+    @property
+    def has_csi(self) -> bool:
+        return self._view.has_csi
+
+    def batch_view(self) -> BatchReceivedView:
+        return self._view
+
+    def for_spine(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        return _one_row(self._view.for_spine(i))

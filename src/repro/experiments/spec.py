@@ -345,7 +345,7 @@ def _hash_payload(point: PointSpec) -> dict:
     """The result-determining fields of a point.
 
     ``batch_size`` is an execution-strategy knob, not part of the result:
-    the batched engine is bit-identical to the scalar one (the
+    a cohort is bit-identical to one-message runs (the
     ``run_messages`` contract, asserted by ``tests/test_batch_equivalence``
     for every channel family), so rebatching a sweep must keep its content
     address — otherwise tuning the knob silently discards every cached

@@ -11,29 +11,29 @@ exhaustive scan with overwhelming probability while running ~5x fewer
 attempts.  (Set ``probe_growth=1`` to force the exhaustive per-subpass scan
 the paper describes.)
 
-Each session owns **one** incremental :class:`ReceivedSymbols` store:
-subpasses are appended as they are transmitted and every decode attempt
-reads an O(1) prefix view of the store (a per-subpass checkpoint cursor),
-so probing and bisection never rebuild symbol storage.
+:class:`BatchSession` is the one session implementation: it runs M
+independent messages as a cohort.  At every probe point all
+still-undecoded messages are decoded together by one vectorised bubble
+search (and bisection steps are grouped by probe point), which amortises
+the per-step numpy call overhead over the whole cohort.  The cohort owns
+**one** incremental symbol store: subpasses are appended as they are
+transmitted and every decode attempt reads an O(1) prefix view of it (a
+per-subpass checkpoint cursor), so probing and bisection never rebuild
+symbol storage.  :class:`SpinalSession` is the one-message cohort (M=1).
 
-:class:`BatchSession` runs M independent messages as one cohort: at every
-probe point all still-undecoded messages are decoded together by a
-:class:`~repro.core.decoder.BatchBubbleDecoder` (and bisection steps are
-grouped by probe point), which amortises the per-step numpy call overhead
-over the whole cohort.  The batch path requires **per-message channel
-ownership** (``Channel.private_state``, and no instance shared between
-rows): each message's channel state and RNG stream must be a pure function
-of that message's own transmit sequence, which the cohort preserves — a
-row transmits the same subpass blocks, in the same order, as its scalar
-twin, and leaves the cohort at exactly the subpass where the scalar
-session would stop.  That makes stateful-but-private models (Rayleigh
-block fading, whose coherence block spans transmit calls) batchable, and
-CSI-consuming decodes batch too: the store carries a per-message CSI plane
-and the batch decoder the coherent ``|y - h x|^2`` metric (the "phase"
-policy derotates at receive time, exactly as the scalar receiver does).
-Only channels whose state is coupled *across* instances — the
-shared-medium symbol clock — fall back to per-message scalar
-:class:`SpinalSession` runs, preserving results exactly at scalar speed.
+A cohort of M > 1 requires **per-message channel ownership**
+(``Channel.private_state``, and no instance shared between rows): each
+message's channel state and RNG stream must be a pure function of that
+message's own transmit sequence, which the cohort preserves — a row
+transmits the same subpass blocks, in the same order, as it would alone,
+and leaves the cohort at exactly the subpass where it would stop alone.
+That makes stateful-but-private models (Rayleigh block fading, whose
+coherence block spans transmit calls) batchable, and CSI-consuming decodes
+batch too: the store carries a per-message CSI plane and the decoder the
+coherent ``|y - h x|^2`` metric (the "phase" policy derotates at receive
+time).  Cohorts whose channels share state *across* instances — the
+shared-medium symbol clock — run as M one-message cohorts in sequence,
+which reproduces each message's transmit order exactly.
 
 Success is judged against the transmitted message (oracle mode, standard
 for rate curves — it measures code performance without protocol overhead).
@@ -44,14 +44,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.channels.base import Channel, ChannelOutput, transmit_batch
-from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder
+from repro.core.decoder import BatchBubbleDecoder
 from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
-from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
+from repro.core.symbols import BatchReceivedSymbols
 from repro.obs import OBS
 
 __all__ = [
@@ -134,142 +135,6 @@ class SessionResult:
         return self.n_bits / self.n_symbols
 
 
-class SpinalSession:
-    """Drives one message through the rateless loop.
-
-    Parameters
-    ----------
-    params, decoder_params: code and decoder configuration.
-    message_bits: the n-bit message to convey.
-    channel: a :class:`repro.channels.Channel`; transmitted through in
-        subpass order so stateful models (fading) behave correctly.
-    give_csi: CSI available to the decoder when the channel reports
-        coefficients: ``True``/"full" = exact per-symbol h (Figure 8-4);
-        "phase" = carrier-phase recovery only, amplitude unknown — the
-        realistic "no detailed fading information" receiver of Figure 8-5;
-        ``False``/"none" = decode the raw observations as plain AWGN.
-    probe_growth: geometric factor for the decode-attempt schedule
-        (1 = attempt after every subpass, exactly as in the paper).
-    """
-
-    def __init__(
-        self,
-        params: SpinalParams,
-        decoder_params: DecoderParams,
-        message_bits: np.ndarray,
-        channel: Channel,
-        give_csi: bool | str = False,
-        probe_growth: float = 1.5,
-    ):
-        self.params = params
-        self.dec = decoder_params
-        self.message_bits = np.asarray(message_bits, dtype=np.uint8)
-        self.channel = channel
-        self.csi_mode = csi_mode(give_csi)
-        if probe_growth < 1.0:
-            raise ValueError("probe_growth must be >= 1")
-        self.probe_growth = probe_growth
-        self.encoder = SpinalEncoder(params, self.message_bits)
-        self.decoder = BubbleDecoder(params, decoder_params, self.message_bits.size)
-        # One incremental store for the whole session; decode attempts read
-        # prefix views through these per-subpass checkpoints instead of
-        # rebuilding symbol storage per attempt.
-        self._store = ReceivedSymbols(
-            self.encoder.n_spine, complex_valued=not self.params.is_bsc
-        )
-        self._checkpoints = [self._store.checkpoint()]
-        self._cum_symbols = [0]
-        self._n_attempts = 0
-        self._last_cost = float("nan")
-
-    # -- transmission ----------------------------------------------------
-
-    @property
-    def _n_subpasses_stored(self) -> int:
-        return len(self._checkpoints) - 1
-
-    def _ensure_subpasses(self, count: int) -> None:
-        """Transmit through the channel up to ``count`` subpasses."""
-        while self._n_subpasses_stored < count:
-            block = self.encoder.generate(self._n_subpasses_stored)
-            out = self.channel.transmit(block.values)
-            values, csi = received_view(out, self.csi_mode)
-            self._store.add_block(block.spine_indices, block.slots, values, csi=csi)
-            self._checkpoints.append(self._store.checkpoint())
-            self._cum_symbols.append(self._cum_symbols[-1] + len(block))
-
-    def _symbols_in(self, n_subpasses: int) -> int:
-        return self._cum_symbols[n_subpasses]
-
-    # -- decoding --------------------------------------------------------
-
-    def _attempt(self, n_subpasses: int) -> bool:
-        """Decode from the first ``n_subpasses`` subpasses."""
-        self._ensure_subpasses(n_subpasses)
-        view = self._store.prefix(self._checkpoints[n_subpasses])
-        OBS.counter("decode.attempts")
-        with OBS.timer("decode.attempt"):
-            result = self.decoder.decode(view)
-        self._n_attempts += 1
-        self._last_cost = result.path_cost
-        return result.matches(self.message_bits)
-
-    def run(self) -> SessionResult:
-        """Rateless transmission until decoded or ``max_passes`` exhausted."""
-        w = self.encoder.subpasses_per_pass
-        max_subpasses = self.dec.max_passes * w
-
-        # Geometric probe for the first success (shared schedule with the
-        # batch engine — the bit-identical contract depends on it).
-        lo = 0  # highest known-failing subpass count
-        hi = None
-        for g in probe_schedule(self.probe_growth, max_subpasses):
-            if self._attempt(g):
-                hi = g
-                break
-            lo = g
-
-        if hi is None:
-            self._ensure_subpasses(max_subpasses)
-            return SessionResult(
-                success=False,
-                n_symbols=self._symbols_in(max_subpasses),
-                n_subpasses=max_subpasses,
-                n_bits=self.message_bits.size,
-                n_attempts=self._n_attempts,
-            )
-
-        # Bisect for the minimal successful prefix in (lo, hi].
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._attempt(mid):
-                hi = mid
-            else:
-                lo = mid
-        return SessionResult(
-            success=True,
-            n_symbols=self._symbols_in(hi),
-            n_subpasses=hi,
-            n_bits=self.message_bits.size,
-            n_attempts=self._n_attempts,
-            path_cost=self._last_cost,
-        )
-
-    def run_fixed_rate(self, n_passes: int) -> SessionResult:
-        """Fixed-rate variant (Figure 8-2): send exactly L passes, decode once."""
-        w = self.encoder.subpasses_per_pass
-        n_subpasses = n_passes * w
-        ok = self._attempt(n_subpasses)
-        return SessionResult(
-            success=ok,
-            n_symbols=self._symbols_in(n_subpasses),
-            n_subpasses=n_subpasses,
-            n_bits=self.message_bits.size,
-            n_attempts=self._n_attempts,
-            path_cost=self._last_cost,
-        )
-
-
 class BatchSession:
     """Runs M independent rateless sessions as one decode cohort.
 
@@ -277,16 +142,15 @@ class BatchSession:
     stream); the decode pipeline is shared.  At each probe point of the
     common schedule, all still-undecoded messages are decoded in one
     batched bubble search; bisection steps are grouped by probe point the
-    same way.  Per message, the outcome is **bit-identical** to running
-    :class:`SpinalSession` on the same (message, channel) pair: same
-    success flags, symbol counts, attempt counts and path costs.
+    same way.  Per message, the outcome — success flag, symbol, subpass
+    and attempt counts, path cost — is the one that message gets in a
+    cohort of its own.
 
-    Channels must be per-message (``Channel.private_state``, one distinct
-    instance per row) for the batch path — stateful-but-private models
-    (block fading) and CSI-consuming decodes batch fine; cohorts containing
-    cross-message state (shared-medium channels, or one instance reused
-    across rows) are transparently run through per-message scalar sessions
-    instead — see the module docstring for why.
+    A cohort of more than one message runs batched when its channels are
+    per-message (``Channel.private_state``, one distinct instance per row)
+    and either all or none report CSI; otherwise (shared-medium channels,
+    one instance reused across rows, mixed channel families) it runs as M
+    one-message cohorts in sequence — see the module docstring for why.
 
     Parameters
     ----------
@@ -321,106 +185,45 @@ class BatchSession:
         return self.messages.shape[0]
 
     def _can_batch(self) -> bool:
-        # The real precondition is per-message channel ownership: a row's
-        # transmit stream must depend only on its own call sequence (which
-        # the cohort reproduces exactly), so stateful-but-private models
-        # like block fading batch fine.  Shared-state channels cannot, and
+        # One message is always its own cohort.  For more, the real
+        # precondition is per-message channel ownership: a row's transmit
+        # stream must depend only on its own call sequence (which the
+        # cohort reproduces exactly), so stateful-but-private models like
+        # block fading batch fine.  Shared-state channels cannot, and
         # neither can one instance reused across rows — interleaved cohort
         # transmits would consume its RNG/state in a different order than
-        # M sequential scalar sessions.  The cohort must also be
-        # CSI-homogeneous (the batch store's CSI plane is all-or-nothing
-        # across rows); mixed-family cohorts are fine per message, so they
-        # take the scalar path.
-        return (all(ch.private_state for ch in self.channels)
-                and len({id(ch) for ch in self.channels}) == self.n_messages
-                and len({ch.reports_csi for ch in self.channels}) == 1)
+        # M sequential sessions.  The cohort must also be CSI-homogeneous
+        # (the store's CSI plane is all-or-nothing across rows).
+        return (self.n_messages == 1
+                or (all(ch.private_state for ch in self.channels)
+                    and len({id(ch) for ch in self.channels}) == self.n_messages
+                    and len({ch.reports_csi for ch in self.channels}) == 1))
 
-    def _run_scalar(
-        self, fixed_passes: int | None = None
-    ) -> list[SessionResult]:
-        """Per-message fallback: exact scalar semantics, scalar speed."""
-        out: list[SessionResult] = []
-        for m in range(self.n_messages):
-            session = SpinalSession(
-                self.params, self.dec, self.messages[m], self.channels[m],
-                give_csi=self.csi_mode, probe_growth=self.probe_growth,
-            )
-            out.append(session.run() if fixed_passes is None
-                       else session.run_fixed_rate(fixed_passes))
-        return out
-
-    def _make_pipeline(
-        self,
-    ) -> tuple[BatchSpinalEncoder, BatchBubbleDecoder, BatchReceivedSymbols]:
-        """The shared encoder/decoder/store triple of one batched cohort."""
-        encoder = BatchSpinalEncoder(self.params, self.messages)
-        decoder = BatchBubbleDecoder(
-            self.params, self.dec, self.messages.shape[1]
-        )
-        store = BatchReceivedSymbols(
-            encoder.n_spine, self.n_messages,
-            complex_valued=not self.params.is_bsc,
-        )
-        return encoder, decoder, store
+    def _singles(self) -> list[BatchSession]:
+        """One one-message cohort per row, to run in sequence."""
+        return [
+            BatchSession(self.params, self.dec, self.messages[m:m + 1],
+                         [channel], give_csi=self.csi_mode,
+                         probe_growth=self.probe_growth)
+            for m, channel in enumerate(self.channels)
+        ]
 
     def run(self) -> list[SessionResult]:
         """Rateless transmission of the cohort; one result per message."""
         if not self._can_batch():
-            return self._run_scalar()
-
+            return [r for single in self._singles() for r in single.run()]
         M = self.n_messages
-        encoder, decoder, store = self._make_pipeline()
-        checkpoints = [store.checkpoint()]
-        cum_symbols = [0]
-        w = encoder.subpasses_per_pass
-        max_subpasses = self.dec.max_passes * w
-
-        def ensure(rows: np.ndarray, count: int) -> None:
-            """Transmit up to ``count`` subpasses for the messages in rows.
-
-            Only still-active rows transmit — a decoded message's channel
-            stops drawing noise at exactly the subpass where its scalar
-            twin would have stopped.
-            """
-            while len(checkpoints) - 1 < count:
-                block = encoder.generate_batch(len(checkpoints) - 1, rows=rows)
-                received = transmit_batch(
-                    [self.channels[m] for m in rows], block.values
-                )
-                values, csi = received_view(received, self.csi_mode)
-                store.add_block(
-                    block.spine_indices, block.slots, values,
-                    rows=rows, csi=csi,
-                )
-                checkpoints.append(store.checkpoint())
-                cum_symbols.append(cum_symbols[-1] + len(block))
-
-        n_attempts = np.zeros(M, dtype=np.int64)
-        last_cost = np.full(M, float("nan"))
+        cohort = _Cohort(self)
+        max_subpasses = self.dec.max_passes * cohort.subpasses_per_pass
         lo = np.zeros(M, dtype=np.int64)
         hi: list[int | None] = [None] * M
-
-        def attempt(rows: np.ndarray, n_subpasses: int) -> np.ndarray:
-            """Batched decode of ``rows`` at a prefix; returns success mask."""
-            view = store.prefix(rows, checkpoints[n_subpasses])
-            OBS.counter("decode.attempts", rows.size)
-            with OBS.span("decode.cohort", rows=int(rows.size),
-                          subpasses=int(n_subpasses)):
-                results = decoder.decode_batch(view)
-            ok = np.zeros(rows.size, dtype=bool)
-            for j, m in enumerate(rows):
-                n_attempts[m] += 1
-                last_cost[m] = results[j].path_cost
-                ok[j] = results[j].matches(self.messages[m])
-            return ok
 
         # Geometric probing, whole cohort at a time.
         active = np.arange(M, dtype=np.intp)
         for g in probe_schedule(self.probe_growth, max_subpasses):
             if active.size == 0:
                 break
-            ensure(active, g)
-            ok = attempt(active, g)
+            ok = cohort.attempt(active, g)
             for m in active[ok]:
                 hi[m] = g
             lo[active[~ok]] = g
@@ -436,73 +239,148 @@ class BatchSession:
             if not mids:
                 break
             for mid, members in sorted(mids.items()):
-                rows = np.asarray(members, dtype=np.intp)
-                ok = attempt(rows, mid)
+                ok = cohort.attempt(np.asarray(members, dtype=np.intp), mid)
                 for j, m in enumerate(members):
                     if ok[j]:
                         hi[m] = mid
                     else:
                         lo[m] = mid
 
-        n_bits = self.messages.shape[1]
-        results: list[SessionResult] = []
-        for m in range(M):
-            if hi[m] is None:
-                results.append(SessionResult(
-                    success=False,
-                    n_symbols=cum_symbols[max_subpasses],
-                    n_subpasses=max_subpasses,
-                    n_bits=n_bits,
-                    n_attempts=int(n_attempts[m]),
-                ))
-            else:
-                results.append(SessionResult(
-                    success=True,
-                    n_symbols=cum_symbols[hi[m]],
-                    n_subpasses=hi[m],
-                    n_bits=n_bits,
-                    n_attempts=int(n_attempts[m]),
-                    path_cost=float(last_cost[m]),
-                ))
-        return results
-
-    def run_fixed_rate(self, n_passes: int) -> list[SessionResult]:
-        """Fixed-rate cohort (Figure 8-2): L passes each, one batched decode.
-
-        Per message, bit-identical to
-        :meth:`SpinalSession.run_fixed_rate` on the same (message, channel)
-        pair — every row transmits the same L passes its scalar twin would,
-        then the whole cohort decodes once.
-        """
-        if not self._can_batch():
-            return self._run_scalar(fixed_passes=n_passes)
-
-        M = self.n_messages
-        encoder, decoder, store = self._make_pipeline()
-        n_subpasses = n_passes * encoder.subpasses_per_pass
-        rows = np.arange(M, dtype=np.intp)
-        n_symbols = 0
-        for g in range(n_subpasses):
-            block = encoder.generate_batch(g, rows=rows)
-            received = transmit_batch(self.channels, block.values)
-            values, csi = received_view(received, self.csi_mode)
-            store.add_block(
-                block.spine_indices, block.slots, values, rows=rows, csi=csi
-            )
-            n_symbols += len(block)
-        OBS.counter("decode.attempts", M)
-        with OBS.span("decode.cohort", rows=M, subpasses=n_subpasses):
-            results = decoder.decode_batch(
-                store.prefix(rows, store.checkpoint()))
-        n_bits = self.messages.shape[1]
+        # A message never decoded was sent every probe point, the last of
+        # which is max_subpasses.
         return [
-            SessionResult(
-                success=results[m].matches(self.messages[m]),
-                n_symbols=n_symbols,
-                n_subpasses=n_subpasses,
-                n_bits=n_bits,
-                n_attempts=1,
-                path_cost=results[m].path_cost,
-            )
+            cohort.result(m, max_subpasses, False) if hi[m] is None
+            else cohort.result(m, hi[m], True, cohort.last_cost[m])
             for m in range(M)
         ]
+
+    def run_fixed_rate(self, n_passes: int) -> list[SessionResult]:
+        """Fixed-rate cohort (Figure 8-2): L passes each, one batched decode."""
+        if n_passes < 1:
+            raise ValueError("n_passes must be >= 1")
+        if not self._can_batch():
+            return [r for single in self._singles()
+                    for r in single.run_fixed_rate(n_passes)]
+        cohort = _Cohort(self)
+        n_subpasses = n_passes * cohort.subpasses_per_pass
+        ok = cohort.attempt(np.arange(self.n_messages, dtype=np.intp),
+                            n_subpasses)
+        # A failed shot still reports the cost of the path it settled on.
+        return [cohort.result(m, n_subpasses, bool(ok[m]), cohort.last_cost[m])
+                for m in range(self.n_messages)]
+
+
+class _Cohort:
+    """The shared pipeline of one batched cohort: encoder, incremental
+    store with per-subpass checkpoints, decoder, and per-row attempt
+    bookkeeping."""
+
+    def __init__(self, session: BatchSession):
+        self._session = session
+        self._encoder = BatchSpinalEncoder(session.params, session.messages)
+        self._decoder = BatchBubbleDecoder(
+            session.params, session.dec, session.messages.shape[1])
+        self._store = BatchReceivedSymbols(
+            self._encoder.n_spine, session.n_messages,
+            complex_valued=not session.params.is_bsc)
+        self._checkpoints = [self._store.checkpoint()]
+        self._cum_symbols = [0]
+        self.subpasses_per_pass = self._encoder.subpasses_per_pass
+        self.n_attempts = np.zeros(session.n_messages, dtype=np.int64)
+        self.last_cost = np.full(session.n_messages, float("nan"))
+
+    def _ensure(self, rows: np.ndarray, count: int) -> None:
+        """Transmit up to ``count`` subpasses for the messages in rows.
+
+        Only still-active rows transmit — a decoded message's channel
+        stops drawing noise at exactly the subpass where it would stop
+        alone.
+        """
+        session = self._session
+        while len(self._checkpoints) - 1 < count:
+            block = self._encoder.generate_batch(
+                len(self._checkpoints) - 1, rows=rows)
+            received = transmit_batch(
+                [session.channels[m] for m in rows], block.values)
+            values, csi = received_view(received, session.csi_mode)
+            self._store.add_block(block.spine_indices, block.slots, values,
+                                  rows=rows, csi=csi)
+            self._checkpoints.append(self._store.checkpoint())
+            self._cum_symbols.append(self._cum_symbols[-1] + len(block))
+
+    def attempt(self, rows: np.ndarray, n_subpasses: int) -> np.ndarray:
+        """Batched decode of ``rows`` at a prefix; returns success mask."""
+        self._ensure(rows, n_subpasses)
+        view = self._store.prefix(rows, self._checkpoints[n_subpasses])
+        OBS.counter("decode.attempts", rows.size)
+        with OBS.span("decode.cohort", rows=int(rows.size),
+                      subpasses=int(n_subpasses)):
+            results = self._decoder.decode_batch(view)
+        messages = self._session.messages
+        ok = np.zeros(rows.size, dtype=bool)
+        for j, m in enumerate(rows):
+            self.n_attempts[m] += 1
+            self.last_cost[m] = results[j].path_cost
+            ok[j] = results[j].matches(messages[m])
+        return ok
+
+    def result(self, m: int, n_subpasses: int, success: bool,
+               path_cost: float = float("nan")) -> SessionResult:
+        """Row ``m``'s outcome after ``n_subpasses`` subpasses."""
+        return SessionResult(
+            success=success,
+            n_symbols=self._cum_symbols[n_subpasses],
+            n_subpasses=n_subpasses,
+            n_bits=self._session.messages.shape[1],
+            n_attempts=int(self.n_attempts[m]),
+            path_cost=float(path_cost),
+        )
+
+
+class SpinalSession:
+    """Drives one message through the rateless loop: a one-message
+    :class:`BatchSession`.
+
+    Parameters
+    ----------
+    params, decoder_params: code and decoder configuration.
+    message_bits: the n-bit message to convey.
+    channel: a :class:`repro.channels.Channel`; transmitted through in
+        subpass order so stateful models (fading) behave correctly.
+    give_csi: CSI available to the decoder when the channel reports
+        coefficients: ``True``/"full" = exact per-symbol h (Figure 8-4);
+        "phase" = carrier-phase recovery only, amplitude unknown — the
+        realistic "no detailed fading information" receiver of Figure 8-5;
+        ``False``/"none" = decode the raw observations as plain AWGN.
+    probe_growth: geometric factor for the decode-attempt schedule
+        (1 = attempt after every subpass, exactly as in the paper).
+    """
+
+    def __init__(
+        self,
+        params: SpinalParams,
+        decoder_params: DecoderParams,
+        message_bits: np.ndarray,
+        channel: Channel,
+        give_csi: bool | str = False,
+        probe_growth: float = 1.5,
+    ):
+        self.params = params
+        self.message_bits = np.asarray(message_bits, dtype=np.uint8)
+        self._session = BatchSession(
+            params, decoder_params, self.message_bits[None, :], [channel],
+            give_csi=give_csi, probe_growth=probe_growth,
+        )
+
+    @cached_property
+    def encoder(self) -> SpinalEncoder:
+        """This message's encoder (built on first access, for inspection)."""
+        return SpinalEncoder(self.params, self.message_bits)
+
+    def run(self) -> SessionResult:
+        """Rateless transmission until decoded or ``max_passes`` exhausted."""
+        return self._session.run()[0]
+
+    def run_fixed_rate(self, n_passes: int) -> SessionResult:
+        """Fixed-rate variant (Figure 8-2): send exactly L passes, decode once."""
+        return self._session.run_fixed_rate(n_passes)[0]

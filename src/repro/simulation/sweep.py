@@ -197,7 +197,7 @@ class RatelessScheme:
     def run_cohort(
         self, channels: Sequence[Channel], rngs: Sequence[np.random.Generator]
     ) -> list[tuple[int, int]]:
-        """Run one message per (channel, rng) pair; default is the scalar loop."""
+        """Run one message per (channel, rng) pair; default is a one-message loop."""
         return [self.run_message(ch, rng) for ch, rng in zip(channels, rngs)]
 
 
@@ -219,6 +219,8 @@ class SpinalScheme(RatelessScheme):
         label: str | None = None,
         fixed_passes: int | None = None,
     ):
+        if fixed_passes is not None and fixed_passes < 1:
+            raise ValueError("fixed_passes must be >= 1")
         self.params = params
         self.decoder_params = decoder_params
         self.n_bits = n_bits
@@ -247,9 +249,10 @@ class SpinalScheme(RatelessScheme):
         """Batched cohort: one vectorised decode pipeline for all messages.
 
         Messages are drawn per-rng in cohort order — the same draws the
-        scalar loop makes — and :class:`BatchSession` falls back to scalar
-        sessions itself when a channel's state is not message-private, so
-        this is always result-identical to the base-class loop.
+        one-message loop makes — and :class:`BatchSession` runs one-message
+        cohorts in sequence itself when a channel's state is not
+        message-private, so this is always result-identical to the
+        base-class loop.
         """
         messages = np.stack([random_message(self.n_bits, rng) for rng in rngs])
         session = BatchSession(

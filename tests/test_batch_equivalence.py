@@ -1,16 +1,26 @@
-"""Batched decode pipeline == scalar pipeline, bit for bit.
+"""A cohort of M messages == M one-message runs, bit for bit.
 
 The batch engine's contract is strict: running M messages as one
-:class:`BatchSession` cohort must reproduce M independent
+:class:`BatchSession` cohort must reproduce M independent one-message
 :class:`SpinalSession` runs *exactly* — same success flags, symbol counts,
 subpass counts, attempt counts, and (floating-point identical) path costs —
 because each message keeps its own channel/RNG and the vectorised kernels
-preserve the scalar arithmetic ordering.  These tests pin that contract on
-AWGN, BSC and Rayleigh block fading (under every CSI policy the receiver
-supports), across puncturing schedules and pruning depths, including
-failing messages, and at the measurement layer (`measure_scheme` with and
-without ``batch_size``).
+keep every message's arithmetic on its own row.  These tests pin that
+contract on AWGN, BSC and Rayleigh block fading (under every CSI policy the
+receiver supports), across puncturing schedules and pruning depths,
+including failing messages, and at the measurement layer
+(`measure_scheme` with and without ``batch_size``).
+
+One-message sessions, encoders, stores and decodes are the M=1 case of the
+same pipeline, so the one-message side of every comparison is also pinned
+to golden digests (``ONE_MESSAGE_GOLDEN``).  Those were captured from the
+separate single-message implementation that earlier versions carried at
+every layer (its own encoder, store, bubble search and probe/bisect
+session); see also ``tests/test_spinal_golden.py``.
 """
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -50,6 +60,29 @@ def _cohort(make_channel, n_bits, n_messages, seed):
     channels = [c for _, c in pairs]
     rebuild = lambda: _cohort(make_channel, n_bits, n_messages, seed)  # noqa: E731
     return messages, channels, rebuild
+
+
+def _canon(obj):
+    """A hashable, exact rendering: floats via ``float.hex``, arrays as bytes."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes().hex())
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
+    if dataclasses.is_dataclass(obj):
+        return tuple(_canon(getattr(obj, f.name))
+                     for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return tuple(_canon(x) for x in obj)
+    return obj
+
+
+def _anchor(request, *one_message_outputs):
+    """Pin a test's one-message outputs to their golden digest."""
+    digest = hashlib.sha256(
+        repr(_canon(one_message_outputs)).encode()).hexdigest()[:16]
+    assert digest == ONE_MESSAGE_GOLDEN[request.node.name]
 
 
 def _assert_results_identical(scalar_results, batch_results):
@@ -102,7 +135,7 @@ class TestBatchSessionEquivalence:
     @pytest.mark.parametrize("params,dec,n_bits,make_channel", CONFIGS)
     @pytest.mark.parametrize("probe_growth", [1.5, 1.0])
     def test_batch_reproduces_scalar(self, params, dec, n_bits, make_channel,
-                                     probe_growth):
+                                     probe_growth, request):
         messages, channels, rebuild = _cohort(make_channel, n_bits, 6, seed=7)
         scalar_msgs, scalar_chans, _ = rebuild()
         assert np.array_equal(messages, scalar_msgs)
@@ -111,14 +144,16 @@ class TestBatchSessionEquivalence:
                           probe_growth=probe_growth).run()
             for m in range(len(scalar_chans))
         ]
+        _anchor(request, scalar)
         batch = BatchSession(params, dec, messages, channels,
                              probe_growth=probe_growth).run()
         _assert_results_identical(scalar, batch)
 
-    def test_many_seeds_property(self):
+    def test_many_seeds_property(self, request):
         """Same contract over a spread of seeds (mixed success/failure)."""
         params = SpinalParams()
         dec = DecoderParams(B=16, max_passes=8)
+        scalars = []
         for seed in range(5):
             messages, channels, rebuild = _cohort(
                 lambda rng: AWGNChannel(6, rng=rng), 64, 4, seed=100 + seed)
@@ -129,10 +164,12 @@ class TestBatchSessionEquivalence:
             ]
             batch = BatchSession(params, dec, messages, channels).run()
             _assert_results_identical(scalar, batch)
+            scalars.append(scalar)
+        _anchor(request, scalars)
 
     @pytest.mark.parametrize("give_csi", ["none", "phase", "full"])
     @pytest.mark.parametrize("tau", [1, 10, 100])
-    def test_fading_batches_identically(self, give_csi, tau):
+    def test_fading_batches_identically(self, give_csi, tau, request):
         """Rayleigh cohorts batch under every CSI policy, bit for bit.
 
         Block fading is stateful (the coherence block spans transmit
@@ -157,10 +194,11 @@ class TestBatchSessionEquivalence:
                           give_csi=give_csi).run()
             for m in range(4)
         ]
+        _anchor(request, scalar)
         _assert_results_identical(scalar, session.run())
 
     @pytest.mark.parametrize("give_csi", ["none", "phase", "full"])
-    def test_fading_punctured_and_failure_cohorts(self, give_csi):
+    def test_fading_punctured_and_failure_cohorts(self, give_csi, request):
         """Fading batch equivalence holds off the happy path too: sparse
         puncturing with pruning depth d=2, and a low-SNR/tiny-budget cohort
         where most messages give up (the failure bookkeeping path)."""
@@ -171,6 +209,7 @@ class TestBatchSessionEquivalence:
         make_fail = lambda rng: RayleighBlockFadingChannel(  # noqa: E731
             -5, coherence_time=10, rng=rng)
         fail = (SpinalParams(), DecoderParams(B=8, max_passes=3))
+        scalars = []
         for (params, dec), factory in ((punct, make), (fail, make_fail)):
             messages, channels, rebuild = _cohort(factory, 48, 5, seed=11)
             scalar_msgs, scalar_chans, _ = rebuild()
@@ -182,12 +221,15 @@ class TestBatchSessionEquivalence:
             batch = BatchSession(params, dec, messages, channels,
                                  give_csi=give_csi).run()
             _assert_results_identical(scalar, batch)
+            scalars.append(scalar)
+        _anchor(request, scalars)
 
     @pytest.mark.parametrize("n_passes", [1, 3])
-    def test_fixed_rate_batch_reproduces_scalar(self, n_passes):
+    def test_fixed_rate_batch_reproduces_scalar(self, n_passes, request):
         """The rated (Figure 8-2) cohort path: L passes, one batched decode."""
         params = SpinalParams(puncturing="none", tail_symbols=2)
         dec = DecoderParams(B=16, max_passes=12)
+        scalars = []
         for make, give_csi in (
             (lambda rng: AWGNChannel(8, rng=rng), False),
             (lambda rng: RayleighBlockFadingChannel(
@@ -203,8 +245,10 @@ class TestBatchSessionEquivalence:
             batch = BatchSession(params, dec, messages, channels,
                                  give_csi=give_csi).run_fixed_rate(n_passes)
             _assert_results_identical(scalar, batch)
+            scalars.append(scalar)
+        _anchor(request, scalars)
 
-    def test_csi_mode_batches_over_memoryless_channels(self):
+    def test_csi_mode_batches_over_memoryless_channels(self, request):
         """A decoder that wants to *see* CSI batches fine — over AWGN the
         channel reports no coefficients and the store stays CSI-less."""
         params = SpinalParams()
@@ -220,11 +264,12 @@ class TestBatchSessionEquivalence:
                           give_csi="full").run()
             for m in range(3)
         ]
+        _anchor(request, scalar)
         _assert_results_identical(scalar, session.run())
 
-    def test_shared_state_channel_falls_back_to_scalar(self):
+    def test_shared_state_channel_falls_back_to_scalar(self, request):
         """Channels whose state is coupled across instances (the
-        shared-medium clock) must keep taking the scalar path."""
+        shared-medium clock) must run as one-message cohorts in turn."""
         from repro.channels import SharedChannel
 
         params = SpinalParams()
@@ -233,12 +278,14 @@ class TestBatchSessionEquivalence:
             lambda rng: SharedChannel(AWGNChannel(12, rng=rng)), 32, 3, seed=2)
         session = BatchSession(params, dec, messages, channels)
         assert not session._can_batch()
-        assert all(r.success for r in session.run())
+        results = session.run()
+        assert all(r.success for r in results)
+        _anchor(request, results)
 
-    def test_mixed_family_cohort_falls_back_to_scalar(self):
+    def test_mixed_family_cohort_falls_back_to_scalar(self, request):
         """A cohort mixing CSI-reporting and CSI-less channels is valid per
         message but unrepresentable in the batch store's all-or-nothing CSI
-        plane — it must transparently take the scalar path, as before."""
+        plane — it must transparently run as one-message cohorts."""
         params = SpinalParams()
         dec = DecoderParams(B=8, max_passes=6)
         def make(rng):
@@ -258,6 +305,7 @@ class TestBatchSessionEquivalence:
             SpinalSession(params, dec, scalar_msgs[m], scalar_chans[m]).run()
             for m in range(4)
         ]
+        _anchor(request, scalar)
         _assert_results_identical(scalar, session.run())
 
     def test_duplicate_channel_instance_falls_back_to_scalar(self):
@@ -276,7 +324,7 @@ class TestBatchSessionEquivalence:
 class TestBatchDecoderEquivalence:
     @pytest.mark.parametrize("params,dec,n_bits,make_channel", CONFIGS[:6])
     def test_decode_batch_matches_scalar_decode(self, params, dec, n_bits,
-                                                make_channel):
+                                                make_channel, request):
         """One shared prefix: batch decode == per-message scalar decode."""
         M = 4
         rng = np.random.default_rng(11)
@@ -298,6 +346,7 @@ class TestBatchDecoderEquivalence:
             batch_store.prefix(np.arange(M), batch_store.checkpoint()))
 
         scalar_dec = BubbleDecoder(params, dec, n_bits)
+        refs = []
         for m in range(M):
             store = ReceivedSymbols(
                 batch_enc.n_spine, complex_valued=not params.is_bsc)
@@ -307,8 +356,11 @@ class TestBatchDecoderEquivalence:
                                   batch_results[m].message_bits)
             assert ref.path_cost == batch_results[m].path_cost
             assert ref.n_symbols_used == batch_results[m].n_symbols_used
+            refs.append(ref)
+        _anchor(request, refs)
 
-    def test_batch_encoder_matches_scalar_encoder(self):
+    def test_batch_encoder_matches_scalar_encoder(self, request):
+        refs = []
         for params in (SpinalParams(), SpinalParams.bsc()):
             rng = np.random.default_rng(2)
             messages = np.stack([random_message(48, rng) for _ in range(3)])
@@ -321,6 +373,8 @@ class TestBatchDecoderEquivalence:
                 assert np.array_equal(ref.slots, block.slots)
                 assert np.array_equal(ref.values, block.values[m])
                 assert np.array_equal(enc.spine, batch_enc.spines[m])
+                refs.append((ref, enc.spine))
+        _anchor(request, refs)
 
 
 class TestMeasureSchemeBatching:
@@ -334,20 +388,22 @@ class TestMeasureSchemeBatching:
         )
 
     @pytest.mark.parametrize("batch_size", [1, 3, 7, 16])
-    def test_batched_measurement_identical_awgn(self, batch_size):
+    def test_batched_measurement_identical_awgn(self, batch_size, request):
         factory = lambda rng: AWGNChannel(10, rng=rng)  # noqa: E731
         scalar = self._measure(None, factory)
+        _anchor(request, scalar)
         batched = self._measure(batch_size, factory)
         assert scalar == batched  # dataclass equality: every field
 
-    def test_batched_measurement_identical_bsc(self):
+    def test_batched_measurement_identical_bsc(self, request):
         factory = lambda rng: BSCChannel(0.05, rng=rng)  # noqa: E731
         scalar = self._measure(None, factory, reference="bsc")
+        _anchor(request, scalar)
         batched = self._measure(4, factory, reference="bsc")
         assert scalar == batched
 
     @pytest.mark.parametrize("give_csi", ["none", "phase", "full"])
-    def test_batched_measurement_identical_fading(self, give_csi):
+    def test_batched_measurement_identical_fading(self, give_csi, request):
         """The fig8_4/8_5-style sweep shape: fading factory + CSI policy,
         measured with and without batching, field-for-field identical."""
         params = SpinalParams()
@@ -358,6 +414,7 @@ class TestMeasureSchemeBatching:
         kwargs = dict(snr_db=14.0, n_messages=6, seed=8,
                       capacity_reference="rayleigh")
         scalar = measure_scheme(scheme, factory, **kwargs)
+        _anchor(request, scalar)
         batched = measure_scheme(scheme, factory, batch_size=6, **kwargs)
         assert scalar == batched
 
@@ -426,15 +483,18 @@ class TestIncrementalStoreSession:
 
     @pytest.mark.parametrize("probe_growth", [1.0, 1.5])
     @pytest.mark.parametrize("snr_db", [15, 6])
-    def test_attempts_and_results_unchanged(self, probe_growth, snr_db):
+    def test_attempts_and_results_unchanged(self, probe_growth, snr_db,
+                                            request):
         params = SpinalParams()
         dec = DecoderParams(B=16, max_passes=8)
+        results = []
         for seed in range(3):
             message = random_message(64, seed)
             session = SpinalSession(
                 params, dec, message, AWGNChannel(snr_db, rng=seed),
                 probe_growth=probe_growth)
             result = session.run()
+            results.append(result)
             success, hi, attempts, last_cost = self._reference_run(
                 params, dec, message, AWGNChannel(snr_db, rng=seed),
                 probe_growth)
@@ -443,8 +503,9 @@ class TestIncrementalStoreSession:
             if success:
                 assert result.n_subpasses == hi
                 assert result.path_cost == last_cost
+        _anchor(request, results)
 
-    def test_prefix_view_decode_equals_fresh_store(self):
+    def test_prefix_view_decode_equals_fresh_store(self, request):
         """Decoding any checkpointed prefix == decoding a rebuilt store."""
         params = SpinalParams()
         dec = DecoderParams(B=32)
@@ -462,6 +523,7 @@ class TestIncrementalStoreSession:
             blocks.append((block, values))
             store.add_block(block.spine_indices, block.slots, values)
             checkpoints.append(store.checkpoint())
+        decodes = []
         for n in range(1, 11):
             fresh = ReceivedSymbols(encoder.n_spine)
             for block, values in blocks[:n]:
@@ -471,6 +533,8 @@ class TestIncrementalStoreSession:
             assert np.array_equal(a.message_bits, b.message_bits)
             assert a.path_cost == b.path_cost
             assert a.n_symbols_used == b.n_symbols_used == fresh.n_symbols
+            decodes.append(a)
+        _anchor(request, decodes)
 
 
 class TestColumnarStore:
@@ -655,3 +719,184 @@ class TestFlowStatsFold:
             n_blocks=1, n_subpasses=1, symbols=100, wasted_symbols=0,
             retransmissions=0, start_time=0, finish_time=5))
         assert stats.symbols == before + 100
+
+
+def _edge_configs(n_configs, seed=2026):
+    """A seeded sample of the edge-case grid: k in {1, 3, 8}, 1-5 spine
+    values, B in {1, 4}, d up to 9 (past the tree height), puncturing
+    none/8-way, 1-2 tail symbols, AWGN/BSC/Rayleigh x CSI none/phase/full,
+    probe growth 1/1.5, rateless and fixed-rate.  Depths whose subtrees
+    would exceed 2^12 leaves are redrawn to keep the sample fast."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < n_configs:
+        k = int(rng.choice([1, 3, 8]))
+        n_spine = int(rng.integers(1, 6))
+        d = int(rng.integers(1, 10))
+        if k * (min(d, n_spine) - 1) > 12:
+            continue
+        family = str(rng.choice(["awgn", "bsc", "rayleigh"]))
+        code = dict(k=k, puncturing=str(rng.choice(["none", "8-way"])),
+                    tail_symbols=int(rng.integers(1, 3)))
+        params = (SpinalParams.bsc(**code) if family == "bsc"
+                  else SpinalParams(**code))
+        dec = DecoderParams(B=int(rng.choice([1, 4])), d=d,
+                            max_passes=int(rng.integers(1, 4)))
+        x = float(rng.uniform(0.02, 0.2) if family == "bsc"
+                  else rng.uniform(-2.0, 20.0))
+        configs.append(dict(
+            params=params, dec=dec, n_bits=k * n_spine, family=family, x=x,
+            give_csi=str(rng.choice(["none", "phase", "full"])),
+            probe_growth=float(rng.choice([1.0, 1.5])),
+            fixed_passes=(None if rng.random() < 0.5
+                          else int(rng.integers(1, 4))),
+        ))
+    return configs
+
+
+def _make_channel(family, x):
+    if family == "awgn":
+        return lambda rng: AWGNChannel(x, rng=rng)
+    if family == "bsc":
+        return lambda rng: BSCChannel(x, rng=rng)
+    return lambda rng: RayleighBlockFadingChannel(x, coherence_time=3, rng=rng)
+
+
+class TestCohortEqualsOneMessageCohorts:
+    """The invariant behind the single pipeline: a cohort of M messages
+    gives each message exactly what a cohort of that message alone gives."""
+
+    @pytest.mark.parametrize("index", range(60))
+    def test_edge_grid_sample(self, index):
+        cfg = _edge_configs(60)[index]
+        make = _make_channel(cfg["family"], cfg["x"])
+        messages, channels, rebuild = _cohort(make, cfg["n_bits"], 3,
+                                              seed=500 + index)
+        kwargs = dict(give_csi=cfg["give_csi"],
+                      probe_growth=cfg["probe_growth"])
+
+        def run(session):
+            if cfg["fixed_passes"] is None:
+                return session.run()
+            return session.run_fixed_rate(cfg["fixed_passes"])
+
+        cohort = run(BatchSession(cfg["params"], cfg["dec"], messages,
+                                  channels, **kwargs))
+        single_msgs, single_chans, _ = rebuild()
+        singles = [
+            r for m in range(3)
+            for r in run(BatchSession(cfg["params"], cfg["dec"],
+                                      single_msgs[m:m + 1],
+                                      [single_chans[m]], **kwargs))
+        ]
+        _assert_results_identical(singles, cohort)
+
+
+#: sha256 prefixes of each test's one-message outputs (see the module
+#: docstring), keyed by test id.
+ONE_MESSAGE_GOLDEN: dict[str, str] = {
+    "test_attempts_and_results_unchanged[15-1.0]":
+        "be001ecefa6553d9",
+    "test_attempts_and_results_unchanged[15-1.5]":
+        "d922b780d4b34d12",
+    "test_attempts_and_results_unchanged[6-1.0]":
+        "b9005f16d539c81c",
+    "test_attempts_and_results_unchanged[6-1.5]":
+        "3a6622968b21006b",
+    "test_batch_encoder_matches_scalar_encoder":
+        "f64ca7a21d27a515",
+    "test_batch_reproduces_scalar[1.0-awgn-2way-d3-tail3]":
+        "21d5890bb6ace9e9",
+    "test_batch_reproduces_scalar[1.0-awgn-4way-d2]":
+        "1cf340dfbc953f43",
+    "test_batch_reproduces_scalar[1.0-awgn-8way]":
+        "7dd8a2516915e611",
+    "test_batch_reproduces_scalar[1.0-awgn-failures]":
+        "c51d95f0bd68556a",
+    "test_batch_reproduces_scalar[1.0-awgn-nopunct]":
+        "00be214612c9525e",
+    "test_batch_reproduces_scalar[1.0-bsc-8way]":
+        "2760e34fd8f6687d",
+    "test_batch_reproduces_scalar[1.0-bsc-nopunct-d2]":
+        "9bd94020419bc5f4",
+    "test_batch_reproduces_scalar[1.5-awgn-2way-d3-tail3]":
+        "21d5890bb6ace9e9",
+    "test_batch_reproduces_scalar[1.5-awgn-4way-d2]":
+        "1cf340dfbc953f43",
+    "test_batch_reproduces_scalar[1.5-awgn-8way]":
+        "2d19d3336e0aebfa",
+    "test_batch_reproduces_scalar[1.5-awgn-failures]":
+        "63f66b1e83dbeade",
+    "test_batch_reproduces_scalar[1.5-awgn-nopunct]":
+        "00be214612c9525e",
+    "test_batch_reproduces_scalar[1.5-bsc-8way]":
+        "685a310d0029e671",
+    "test_batch_reproduces_scalar[1.5-bsc-nopunct-d2]":
+        "ef183f787c4c0454",
+    "test_batched_measurement_identical_awgn[16]":
+        "5dde22ae9d5e0f70",
+    "test_batched_measurement_identical_awgn[1]":
+        "5dde22ae9d5e0f70",
+    "test_batched_measurement_identical_awgn[3]":
+        "5dde22ae9d5e0f70",
+    "test_batched_measurement_identical_awgn[7]":
+        "5dde22ae9d5e0f70",
+    "test_batched_measurement_identical_bsc":
+        "f809c67a9fa37a2f",
+    "test_batched_measurement_identical_fading[full]":
+        "a29e1f6d1fdf1855",
+    "test_batched_measurement_identical_fading[none]":
+        "8d3940374855dd6e",
+    "test_batched_measurement_identical_fading[phase]":
+        "d0db3eab8392ad3a",
+    "test_csi_mode_batches_over_memoryless_channels":
+        "1023a139deb7ad5b",
+    "test_decode_batch_matches_scalar_decode[awgn-2way-d3-tail3]":
+        "789c0cb79d16b223",
+    "test_decode_batch_matches_scalar_decode[awgn-4way-d2]":
+        "7cac756d11923379",
+    "test_decode_batch_matches_scalar_decode[awgn-8way]":
+        "cc9f47422fd804dc",
+    "test_decode_batch_matches_scalar_decode[awgn-nopunct]":
+        "0422669b5d740176",
+    "test_decode_batch_matches_scalar_decode[bsc-8way]":
+        "cd86ef86eedd3cb2",
+    "test_decode_batch_matches_scalar_decode[bsc-nopunct-d2]":
+        "f2ba542a4bd09f25",
+    "test_fading_batches_identically[1-full]":
+        "ed1f0ed972beead9",
+    "test_fading_batches_identically[1-none]":
+        "6aa733677d4a4156",
+    "test_fading_batches_identically[1-phase]":
+        "100e5ff519668bd5",
+    "test_fading_batches_identically[10-full]":
+        "76fe5655c1ff9972",
+    "test_fading_batches_identically[10-none]":
+        "6aa733677d4a4156",
+    "test_fading_batches_identically[10-phase]":
+        "a16dd90a1794f8f1",
+    "test_fading_batches_identically[100-full]":
+        "b9269268af5a8d6a",
+    "test_fading_batches_identically[100-none]":
+        "6aa733677d4a4156",
+    "test_fading_batches_identically[100-phase]":
+        "d1088c6ca8f7c43b",
+    "test_fading_punctured_and_failure_cohorts[full]":
+        "90efd1276308cdc1",
+    "test_fading_punctured_and_failure_cohorts[none]":
+        "7aa65ebad06e8d29",
+    "test_fading_punctured_and_failure_cohorts[phase]":
+        "2cf3c7c54eb4ede4",
+    "test_fixed_rate_batch_reproduces_scalar[1]":
+        "55dae98791857d1f",
+    "test_fixed_rate_batch_reproduces_scalar[3]":
+        "de30514dbc8832aa",
+    "test_many_seeds_property":
+        "010d8f29f36b9aba",
+    "test_mixed_family_cohort_falls_back_to_scalar":
+        "d7657094d54e2d58",
+    "test_prefix_view_decode_equals_fresh_store":
+        "55de2f7a863754aa",
+    "test_shared_state_channel_falls_back_to_scalar":
+        "c5d11db6fc5fd813",
+}

@@ -1,10 +1,12 @@
 """Tests for the rateless execution engine (§8.1)."""
 
+import numpy as np
 import pytest
 
 from repro.channels import AWGNChannel, BSCChannel, RayleighBlockFadingChannel
 from repro.core.params import DecoderParams, SpinalParams
 from repro.simulation import (
+    BatchSession,
     SpinalScheme,
     SpinalSession,
     measure_spinal_rate,
@@ -115,6 +117,27 @@ class TestSpinalSession:
         with pytest.raises(ValueError):
             SpinalSession(params, dec, random_message(64, 0),
                           AWGNChannel(10, rng=0), probe_growth=0.5)
+
+    @pytest.mark.parametrize("n_passes", [0, -1])
+    def test_fixed_rate_rejects_fewer_than_one_pass(self, params, dec,
+                                                    n_passes):
+        """Zero passes used to 'decode' an all-zero message from nothing
+        (success with 0 symbols); negative ones crashed or reported a
+        negative subpass count."""
+        zeros = np.zeros(64, dtype=np.uint8)
+        session = SpinalSession(params, dec, zeros, AWGNChannel(10, rng=0))
+        with pytest.raises(ValueError, match="n_passes"):
+            session.run_fixed_rate(n_passes)
+        cohort = BatchSession(params, dec, np.zeros((2, 64), np.uint8),
+                              [AWGNChannel(10, rng=m) for m in range(2)])
+        with pytest.raises(ValueError, match="n_passes"):
+            cohort.run_fixed_rate(n_passes)
+
+    @pytest.mark.parametrize("fixed_passes", [0, -2])
+    def test_scheme_rejects_fewer_than_one_fixed_pass(self, params, dec,
+                                                      fixed_passes):
+        with pytest.raises(ValueError, match="fixed_passes"):
+            SpinalScheme(params, dec, 64, fixed_passes=fixed_passes)
 
 
 class TestMeasurement:
