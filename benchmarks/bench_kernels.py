@@ -8,7 +8,10 @@ kernel, not just "decode got slower":
 
 - ``hash``: every registered spine hash (:func:`repro.core.hashes.
   available_hashes`) over beam-sized and cohort-sized uint32 state arrays,
-  the exact shapes the tree expansion hashes each step;
+  the exact shapes the tree expansion hashes each step; plus
+  one-at-a-time on the decoder's broadcast shapes (a beam against the
+  edges, children against the slots), where its state rounds run at the
+  smaller state shape;
 - ``branch_cost``: the backend's ``branch_costs_batch`` kernel on one
   message's panel of one spine position, exactly what a decoder step
   passes it — broadcast hash + distance arithmetic over all received
@@ -140,6 +143,34 @@ def test_hash_kernel(benchmark, kernel_records, hash_name, n_states, backend):
     _record(kernel_records, benchmark, "hash",
             f"{hash_name}/{n_states}{_suffix(backend)}",
             hash=hash_name, n_states=n_states, backend=backend)
+
+
+#: Decoder-shaped one-at-a-time calls, ``name -> (state shape, data shape)``:
+#: a beam of B=256 states against the 2^4 edges (the children hash), and a
+#: beam's 4096 children against 8 received slots (the branch-cost hash).
+#: Unlike the same-shape cases above, these see that the state-byte rounds
+#: run at the state's shape.
+DECODER_SHAPES = {
+    "children": ((256, 1), (16,)),
+    "slots": ((1, BEAM), (8, 1)),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(DECODER_SHAPES))
+def test_hash_kernel_decoder_shaped(benchmark, kernel_records, case, backend):
+    state_shape, data_shape = DECODER_SHAPES[case]
+    rng = np.random.default_rng(8)
+    states = rng.integers(0, 2**32, size=state_shape, dtype=np.uint32)
+    data = rng.integers(0, 2**16, size=data_shape, dtype=np.uint32)
+    with use_backend(backend):
+        hash_fn = get_hash("one_at_a_time")
+        out = benchmark(hash_fn, states, data)
+    assert out.shape == np.broadcast_shapes(state_shape, data_shape)
+    assert out.dtype == np.uint32
+    _record(kernel_records, benchmark, "hash",
+            f"one_at_a_time/{case}{_suffix(backend)}",
+            hash="one_at_a_time", n_states=int(out.size), backend=backend)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,14 @@ backend is judged against this one — same uint32 words, same float64
 reduction order (the slot axis leads, so the sum over received symbols
 accumulates in slot order), same introselect selection order.
 
+The AWGN costs (no CSI) read ``(y - level)^2`` from per-(slot, message)
+distance tables of ``2^c`` entries instead of recomputing it per candidate
+word.  The tables hold the results of the same subtract-then-square, and
+the gathered entries are added and summed in the same order, so the float64
+costs are bit-identical to the direct per-word form (and to the numba
+kernel, which computes that form scalar by scalar).  The CSI and BSC costs
+keep the direct form.
+
 Observability follows the decode hot-loop discipline (see ``repro.obs``):
 the hash inside a branch-cost evaluation is timed as ``kernel.hash`` and
 the distance arithmetic as ``kernel.branch_cost``, exactly as the
@@ -112,31 +120,62 @@ def branch_costs_batch(
     if is_bsc:
         bits = (words & _U32(1)).astype(np.float64)
         out = np.abs(bits - values.T[:, :, None]).sum(axis=0)
-        if _on:
-            OBS.add_time("kernel.branch_cost", clock() - t1)
-        return out
-    c_mask = _U32((1 << c) - 1)
-    x_i = levels[(words & c_mask).astype(np.intp)]
-    x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
-    if csi is None:
-        d_r = values.real.T[:, :, None] - x_i
-        d_q = values.imag.T[:, :, None] - x_q
+    elif csi is None:
+        out = _awgn_costs(words, values, levels, c)
     else:
+        c_mask = _U32((1 << c) - 1)
+        x_i = levels[(words & c_mask).astype(np.intp)]
+        x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
         # Coherent metric |y - h x|^2 (§8.3) with the complex product h*x
         # spelled as separately-rounded real ufuncs.  numpy's
         # complex-multiply loop may contract into FMAs on hosts that have
         # them, which would make the reference costs machine-dependent in
         # the last ulp — explicit real ops pin one rounding sequence
         # everywhere, and it is the sequence a scalar kernel (numba)
-        # reproduces exactly.
+        # reproduces exactly.  The product mixes I and Q, so the
+        # per-symbol tables of _awgn_costs do not apply.
         f_r = csi.real.T[:, :, None] * x_i - csi.imag.T[:, :, None] * x_q
         f_q = csi.real.T[:, :, None] * x_q + csi.imag.T[:, :, None] * x_i
         d_r = values.real.T[:, :, None] - f_r
         d_q = values.imag.T[:, :, None] - f_q
-    out = (d_r * d_r + d_q * d_q).sum(axis=0)
+        out = (d_r * d_r + d_q * d_q).sum(axis=0)
     if _on:
         OBS.add_time("kernel.branch_cost", clock() - t1)
     return out
+
+
+def _awgn_costs(
+    words: np.ndarray, values: np.ndarray, levels: np.ndarray, c: int
+) -> np.ndarray:
+    """AWGN branch costs of ``words (n_slots, M, n)`` -> ``(M, n)``.
+
+    Each word's I and Q coordinates are ``levels`` entries picked by its
+    two c-bit fields, so ``(y - level)^2`` takes only ``2^c`` values per
+    (slot, message) and per dimension.  Those go into ``(n_slots, M, 2^c)``
+    tables, computed with the same subtract-then-square as the direct form
+    ``(y_r - x_i)^2 + (y_q - x_q)^2``; each word then gathers its two
+    entries (one flat ``np.take`` per dimension, with a per-(slot, message)
+    offset folded into the index), adds them, and the slot axis is summed
+    as before.  Same IEEE operations on the same operands in the same
+    order: the costs are bit-identical to the direct form.
+    """
+    n_slots, n_msgs, _ = words.shape
+    n_levels = levels.size  # 2^c: the Mapping guarantees it
+    c_mask = _U32((1 << c) - 1)
+    d_i = values.real.T[:, :, None] - levels
+    d_q = values.imag.T[:, :, None] - levels
+    # uint32 indices cannot overflow: a table of 2^32 float64 entries
+    # (32 GiB) could not have been allocated.
+    offsets = np.arange(0, n_slots * n_msgs * n_levels, n_levels,
+                        dtype=np.uint32).reshape(n_slots, n_msgs, 1)
+    idx = words & c_mask
+    idx += offsets
+    out = np.take((d_i * d_i).ravel(), idx)
+    np.right_shift(words, _U32(c), out=idx)
+    idx &= c_mask
+    idx += offsets
+    out += np.take((d_q * d_q).ravel(), idx)
+    return out.sum(axis=0)
 
 
 _BACKEND: Backend | None = None

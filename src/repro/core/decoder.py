@@ -163,7 +163,9 @@ class BubbleDecoder:
             totals = totals.reshape(M, n_beam * K, W)
             if _on:
                 t0 = clock()
-            sel = backend.select_beams(totals.min(axis=2), self.dec.B)
+            # d=1 (W=1): each subtree is one leaf, and its min is itself.
+            group = totals[:, :, 0] if W == 1 else totals.min(axis=2)
+            sel = backend.select_beams(group, self.dec.B)
             leaf_states = children.reshape(M, n_beam * K, W)[row_idx, sel]
             leaf_costs = totals[row_idx, sel]
             if _on:

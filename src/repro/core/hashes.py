@@ -18,8 +18,12 @@ All three are implemented here with one unified signature::
 where ``data`` carries either the k message bits of an edge (spine
 construction) or a symbol index (RNG use, see :mod:`repro.core.rng`).  The
 implementations are fully vectorised: the bubble decoder hashes beams of
-thousands of candidate states per call, so every operation is an elementwise
-numpy ``uint32`` op with natural mod-2^32 wrap-around.
+thousands of candidate states per call, and every operation is a numpy
+``uint32`` op with natural mod-2^32 wrap-around.  ``lookup3`` and
+``salsa20`` run each op at the broadcast shape of ``(state, data)``;
+``one_at_a_time`` runs the rounds that read only ``state`` at
+``state.shape`` and broadcasts afterwards, because the decoder's calls pair
+many states with few data words (or the other way round).
 
 These are the **reference** kernels — the bit-exactness contract of the
 backend seam (:mod:`repro.backend`).  :func:`get_hash` dispatches through
@@ -62,29 +66,47 @@ def one_at_a_time(state: np.ndarray, data: np.ndarray) -> np.ndarray:
 
     This is the hash used in the paper's software implementation and FPGA
     prototype: "6 XORs, 15 bit shifts and 10 additions per application".
+
+    The four state-byte rounds depend only on ``state``, so they run at
+    ``state.shape``; the data-byte rounds and the finalisation run at the
+    broadcast shape.  The decoder hashes ``(M, B, 1, 1)`` beams against the
+    ``2^k`` edges and ``(1, M, n)`` children against ``s`` slot indices, so
+    the state rounds touch ``1/2^k`` and ``1/s`` of the output elements.
+    Each ``h += h << j`` is spelled ``h *= 2^j + 1``, one ufunc instead of
+    two.  uint32 arithmetic is exact — the words are those of the byte loop.
     """
     state = _as_u32(state)
     data = _as_u32(data)
-    # In-place updates with one scratch buffer: the decoder calls this on
-    # beam-sized arrays thousands of times per message, so avoiding the
-    # ~30 full-size temporaries of the naive expression measurably speeds
-    # the hot path.  uint32 arithmetic is exact — results are unchanged.
-    h = np.zeros(np.broadcast(state, data).shape, dtype=np.uint32)
+    # In-place updates with one scratch buffer per shape: the decoder calls
+    # this on beam-sized arrays thousands of times per message, so avoiding
+    # full-size temporaries measurably speeds the hot path.  ``h`` is always
+    # an ndarray (0-d included): in-place ops on a numpy scalar would
+    # silently rebind instead of writing.
+    h = np.zeros(state.shape, dtype=np.uint32)
     scratch = np.empty_like(h)
-    for word in (state, data):
-        for shift in (0, 8, 16, 24):
-            h += (word >> _U32(shift)) & _MASK8  # byte temp broadcasts, stays small
-            np.left_shift(h, _U32(10), out=scratch)
-            h += scratch
-            np.right_shift(h, _U32(6), out=scratch)
-            h ^= scratch
-    np.left_shift(h, _U32(3), out=scratch)
-    h += scratch
+    for shift in (0, 8, 16, 24):
+        h += (state >> _U32(shift)) & _MASK8
+        _mix(h, scratch)
+    out = np.empty(np.broadcast_shapes(state.shape, data.shape), np.uint32)
+    np.add(h, data & _MASK8, out=out)
+    h = out
+    scratch = np.empty_like(h)
+    _mix(h, scratch)
+    for shift in (8, 16, 24):
+        h += (data >> _U32(shift)) & _MASK8  # byte temp broadcasts, stays small
+        _mix(h, scratch)
+    h *= _U32(9)           # h += h << 3
     np.right_shift(h, _U32(11), out=scratch)
     h ^= scratch
-    np.left_shift(h, _U32(15), out=scratch)
-    h += scratch
+    h *= _U32(32769)       # h += h << 15
     return h
+
+
+def _mix(h: np.ndarray, scratch: np.ndarray) -> None:
+    """One one-at-a-time round after the byte add, in place on ``h``."""
+    h *= _U32(1025)        # h += h << 10
+    np.right_shift(h, _U32(6), out=scratch)
+    h ^= scratch
 
 
 def lookup3(state: np.ndarray, data: np.ndarray) -> np.ndarray:

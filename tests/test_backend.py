@@ -242,6 +242,28 @@ class TestBranchCostBitIdentity:
             npb.branch_costs_batch(st2, slots, v2, None, **kwargs),
             nbm.branch_costs_batch(st2, slots, v2, None, **kwargs))
 
+    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
+    @pytest.mark.parametrize("with_csi", [False, True],
+                             ids=["awgn", "fading-csi"])
+    def test_decoder_shaped(self, hash_name, with_csi):
+        """The paper's c=6 code on one decoder step: the children of a
+        2-message beam of B=4 (k=4) against one position's slots."""
+        params = SpinalParams(c=6, hash_name=hash_name)
+        rng = np.random.default_rng(6)
+        beam = rng.integers(0, 2**32, size=(2, 4, 1, 1), dtype=np.uint32)
+        children = reference_hashes()[hash_name](
+            beam, np.arange(1 << params.k, dtype=np.uint32)).reshape(2, -1)
+        slots = np.array([1, 33, 65, 97], dtype=np.uint32)
+        values = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        csi = (rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+               if with_csi else None)
+        kwargs = dict(hash_name=hash_name,
+                      levels=params.make_mapping().levels,
+                      c=params.c, is_bsc=False)
+        a = npb.branch_costs_batch(children, slots, values, csi, **kwargs)
+        b = nbm.branch_costs_batch(children, slots, values, csi, **kwargs)
+        assert np.array_equal(a, b)
+
     def test_empty_slots(self):
         """Punctured spine positions cost zero through every backend."""
         states = np.arange(5, dtype=np.uint32)
@@ -257,6 +279,49 @@ class TestBranchCostBitIdentity:
                 values.reshape(2, 0) if mod is nbm else values.reshape(2, 0),
                 None, **kwargs)
             assert np.array_equal(out2, np.zeros((2, 5)))
+
+
+def _direct_awgn_costs(states, slots, values, *, hash_name, levels, c):
+    """The per-word AWGN cost formula the distance tables replace:
+    gather each word's levels, subtract, square, add, sum over slots."""
+    words = reference_hashes()[hash_name](
+        states[None, :, :], slots[:, None, None])
+    mask = np.uint32((1 << c) - 1)
+    x_i = levels[(words & mask).astype(np.intp)]
+    x_q = levels[((words >> np.uint32(c)) & mask).astype(np.intp)]
+    d_r = values.real.T[:, :, None] - x_i
+    d_q = values.imag.T[:, :, None] - x_q
+    return (d_r * d_r + d_q * d_q).sum(axis=0)
+
+
+class TestAwgnTableCosts:
+    """The numpy AWGN kernel's distance tables are exact to the bit."""
+
+    @pytest.mark.parametrize("mapping", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("c", range(1, 9))
+    def test_matches_direct_formula(self, c, mapping):
+        levels = SpinalParams(c=c, mapping_name=mapping).make_mapping().levels
+        kwargs = dict(hash_name="one_at_a_time", levels=levels, c=c)
+        rng = np.random.default_rng(c)
+        for n_slots in (0, 1, 2, 5):
+            for n_msgs in (1, 3):
+                states = rng.integers(0, 2**32, size=(n_msgs, 40),
+                                      dtype=np.uint32)
+                slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
+                real = 3.0 * rng.normal(size=(n_msgs, n_slots))
+                imag = 3.0 * rng.normal(size=(n_msgs, n_slots))
+                for values in (real, real + 1j * imag):
+                    got = npb.branch_costs_batch(
+                        states, slots, values, None, is_bsc=False, **kwargs)
+                    expect = _direct_awgn_costs(states, slots, values,
+                                                **kwargs)
+                    assert got.dtype == np.float64
+                    assert got.shape == (n_msgs, 40)
+                    assert np.array_equal(got, expect)  # bitwise
+                    one = npb.branch_costs(
+                        states[0], slots, values[0], None, is_bsc=False,
+                        **kwargs)
+                    assert np.array_equal(one, expect[0])
 
 
 # ---------------------------------------------------------------------------

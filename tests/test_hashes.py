@@ -51,6 +51,78 @@ def _oaat_reference(state: int, data: int) -> int:
     return h
 
 
+def _oaat_reference_array(state: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """:func:`_oaat_reference` over the broadcast of two uint32 arrays."""
+    s_b, d_b = np.broadcast_arrays(np.asarray(state, np.uint32),
+                                   np.asarray(data, np.uint32))
+    flat = [_oaat_reference(int(a), int(b))
+            for a, b in zip(s_b.ravel(), d_b.ravel())]
+    return np.array(flat, dtype=np.uint32).reshape(s_b.shape)
+
+
+class TestOneAtATimeShapes:
+    """The state rounds run at ``state.shape`` and broadcast afterwards;
+    every shape the decoder (and anything else) passes must still give the
+    byte loop's words, in a fresh writable uint32 array."""
+
+    @staticmethod
+    def _check(state, data):
+        out = one_at_a_time(state, data)
+        expect = _oaat_reference_array(state, data)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.uint32
+        assert out.shape == expect.shape
+        assert out.flags.writeable
+        assert not np.shares_memory(out, np.asarray(state))
+        assert not np.shares_memory(out, np.asarray(data))
+        assert np.array_equal(out, expect)
+        return out
+
+    def test_children_shape(self):
+        rng = np.random.default_rng(10)
+        states = rng.integers(0, 2**32, size=(3, 5, 1, 1), dtype=np.uint32)
+        self._check(states, np.arange(16, dtype=np.uint32))
+
+    def test_branch_cost_shape(self):
+        rng = np.random.default_rng(11)
+        states = rng.integers(0, 2**32, size=(1, 3, 7), dtype=np.uint32)
+        slots = rng.integers(0, 2**32, size=(4, 1, 1), dtype=np.uint32)
+        self._check(states, slots)
+
+    def test_data_larger_than_state(self):
+        rng = np.random.default_rng(12)
+        datas = rng.integers(0, 2**32, size=(6, 9), dtype=np.uint32)
+        self._check(np.uint32([0xDEADBEEF]), datas)
+        self._check(rng.integers(0, 2**32, size=(6, 1), dtype=np.uint32),
+                    datas)
+
+    def test_zero_d_inputs(self):
+        out = self._check(np.uint32(0x12345678), np.uint32(7))
+        assert out.shape == ()
+        out = self._check(np.array(0xFFFFFFFF, np.uint32),
+                          np.arange(5, dtype=np.uint32))
+        assert out.shape == (5,)
+        out = self._check(np.arange(5, dtype=np.uint32), np.uint32(3))
+        assert out.shape == (5,)
+        assert self._check(3, 4).shape == ()
+
+    def test_empty_arrays(self):
+        assert self._check(np.empty(0, np.uint32),
+                           np.empty(0, np.uint32)).shape == (0,)
+        assert self._check(np.empty((2, 0, 1), np.uint32),
+                           np.arange(16, dtype=np.uint32)).shape == (2, 0, 16)
+        assert self._check(np.arange(4, dtype=np.uint32)[:, None],
+                           np.empty(0, np.uint32)).shape == (4, 0)
+
+    def test_inputs_unchanged(self):
+        states = np.arange(8, dtype=np.uint32).reshape(2, 4, 1)
+        datas = np.arange(3, dtype=np.uint32)
+        before = states.copy(), datas.copy()
+        self._check(states, datas)
+        assert np.array_equal(states, before[0])
+        assert np.array_equal(datas, before[1])
+
+
 class TestVectorisation:
     @pytest.mark.parametrize("hash_fn", ALL_HASHES)
     def test_vector_matches_scalar(self, hash_fn):
