@@ -19,7 +19,11 @@ kernel, not just "decode got slower":
   code, and a fading store with per-symbol CSI;
 - ``select``: :func:`repro.core.decoder.select_beams` (argpartition
   subtree pruning) for one message (a one-row input) and a 16-message
-  cohort.
+  cohort;
+- ``bcjr``: one max-log BCJR call of Strider's turbo decoder (the 8-state
+  RSC over T=163 trellis steps, a 160-bit layer plus its tail), once on
+  the numpy reference loop and once on the compiled recursion
+  (:mod:`repro.native`, record suffix ``@c``).
 
 The hash and branch-cost benchmarks run once per available backend
 (:mod:`repro.backend`): numpy always, numba when installed.  numpy records
@@ -49,6 +53,8 @@ from repro.core.encoder import SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
 from repro.core.params import SpinalParams
 from repro.core.symbols import ReceivedSymbols
+from repro.strider import bcjr
+from repro.strider.rsc import RscCode
 from repro.utils.bitops import random_message
 
 # Array sizes matching what one tree-expansion step hashes: a full beam of
@@ -259,3 +265,30 @@ def test_select_kernel(benchmark, kernel_records, n_rows):
     _record(kernel_records, benchmark, "select",
             f"{'x'.join(map(str, shape))}/B{n_beam}",
             shape=[n_rows, BEAM], n_beam=n_beam)
+
+
+# ---------------------------------------------------------------------------
+# max-log BCJR (Strider's turbo decoder)
+# ---------------------------------------------------------------------------
+
+RECURSIONS = {"numpy": bcjr._recursion_numpy, "c": bcjr._load_kernel()}
+
+
+@pytest.mark.parametrize("recursion", [
+    pytest.param("numpy", id="numpy"),
+    pytest.param("c", id="c", marks=pytest.mark.skipif(
+        RECURSIONS["c"] is None, reason="no C compiler")),
+])
+def test_bcjr_kernel(benchmark, kernel_records, monkeypatch, recursion):
+    trellis = bcjr.BcjrTrellis(RscCode(feedback=13, feedforward=(15, 17)))
+    rng = np.random.default_rng(12)
+    t_len = 163
+    sys_llr = rng.normal(2.0, 2.0, t_len)
+    par_llr = rng.normal(2.0, 2.0, (2, t_len))
+    apri = rng.normal(0.0, 2.0, t_len)
+    monkeypatch.setattr(bcjr, "_KERNEL", RECURSIONS[recursion])
+    llr, _ = benchmark(bcjr.max_log_bcjr, trellis, sys_llr, par_llr, apri)
+    assert llr.shape == (t_len,)
+    _record(kernel_records, benchmark, "bcjr",
+            f"strider.bcjr/T{t_len}{'' if recursion == 'numpy' else '@c'}",
+            t_len=t_len, recursion=recursion)

@@ -1,9 +1,10 @@
 """Max-log-MAP (BCJR) decoding of one RSC constituent code.
 
 The forward and backward recursions are inherently sequential in time, so
-the time loop stays in Python; the final LLR extraction is vectorised over
-time.  Max-log (max instead of log-sum-exp) costs ~0.1 dB versus exact
-log-MAP and is what high-throughput turbo implementations use.
+they run as one loop over time; the branch metrics before it and the final
+LLR extraction after it are vectorised over time.  Max-log (max instead of
+log-sum-exp) costs ~0.1 dB versus exact log-MAP and is what
+high-throughput turbo implementations use.
 
 The two recursions share one loop of T steps: step t advances alpha from
 time t to t+1 and beta from time T-t to T-1-t.  Every state of an RSC
@@ -21,13 +22,38 @@ the same value.  The normalisation subtracts the same row maximum, and
 gamma and the posterior metrics are formed with the same additions in the
 same order.
 
+The loop is split off into a small C kernel (``repro/native/bcjr.c``,
+built and loaded by :mod:`repro.native`), because in numpy it costs five
+calls per step and is bound by their overhead.  Gamma, ``step_gamma`` and
+the posterior stay in numpy.  The numpy loop (:func:`_recursion_numpy`)
+is kept as the reference and runs when the kernel cannot be built (no C
+compiler), which :mod:`repro.native` announces with one
+:class:`~repro.backend.base.BackendFallbackWarning`.
+
+The kernel is bit-identical to the numpy loop.  It performs the same
+adds, maxima and subtractions, on the same operands, in the same order.
+It has no multiplies, each of those operations is exactly rounded, and
+the compiler may neither contract nor reorder them, so finite inputs give
+the same bits.  Non-finite inputs are the trap: ``a > b ? a : b`` drops a
+NaN that ``np.maximum`` keeps.  The kernel follows numpy's NaN rules
+exactly.  An add or subtract returns its first NaN operand.
+``np.maximum`` keeps the first NaN it meets.  ``np.maximum.reduce``
+returns numpy's canonical NaN when the part it folds with SIMD vectors
+holds a NaN.  How long that part is depends on the CPU numpy dispatches
+for, so it is measured from numpy once per process
+(:func:`_reduce_nan_rule`).
+
 LLR convention matches the rest of the library: positive favours bit 0.
 """
 
 from __future__ import annotations
 
+import ctypes
+from typing import Callable
+
 import numpy as np
 
+from repro import native
 from repro.strider.rsc import RscCode
 
 __all__ = ["max_log_bcjr", "BcjrTrellis"]
@@ -67,9 +93,86 @@ class BcjrTrellis:
         self.out_branches = np.arange(2 * ns, dtype=np.int64).reshape(ns, 2)
         #: (2, ns, 2) gather into ``[alpha | beta]``: the source states of
         #: each state's incoming branches, then (offset by ns) the
-        #: destination states of its outgoing branches
-        self.gather = np.stack([self.from_state[self.in_branches],
-                                ns + self.to_state[self.out_branches]])
+        #: destination states of its outgoing branches; read-only, since the
+        #: compiled recursion indexes with it unchecked
+        self.gather = np.ascontiguousarray(np.stack(
+            [self.from_state[self.in_branches],
+             ns + self.to_state[self.out_branches]]), dtype=np.int64)
+        self.gather.flags.writeable = False
+
+
+#: ``(ab, step_gamma, gather)`` -> None: fills ``ab[1:]`` in place
+Recursion = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+
+#: the recursion in use, chosen on first call: compiled, else the numpy loop
+_KERNEL: Recursion | None = None
+
+
+def _reduce_nan_rule() -> tuple[int, float]:
+    """``(lanes, nan)``: what ``np.maximum.reduce`` does to a NaN here.
+
+    numpy seeds a SIMD accumulator with the first value and folds whole
+    vectors of ``lanes`` values before a scalar tail; the SIMD part returns
+    one canonical ``nan`` when it holds any NaN, the scalar tail keeps the
+    NaN it meets.  ``lanes`` is the fewest values after the first for
+    which a NaN among them comes back changed; 0 when it never does.
+    """
+    odd = np.array([0xFFF800000000BEEF], dtype=np.uint64).view(np.float64)
+    for lanes in range(1, 65):
+        row = np.zeros(lanes + 1)
+        row[lanes] = odd[0]
+        top = np.maximum.reduce(row)
+        if top.tobytes() != odd.tobytes():
+            return lanes, float(top)
+    return 0, float(odd[0])
+
+
+def _load_kernel() -> Recursion | None:
+    """The compiled recursion; None, with a warning, if it can't be built."""
+    lib = native.load("bcjr")
+    if lib is None:
+        return None
+    fn = lib.bcjr_recursion
+    fn.restype = None
+    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                   ctypes.c_double]
+    lanes, nan = _reduce_nan_rule()
+
+    def recursion(ab: np.ndarray, step_gamma: np.ndarray,
+                  gather: np.ndarray) -> None:
+        step_gamma = np.ascontiguousarray(step_gamma)  # np.stack's may not be
+        t_len, ns = step_gamma.shape[0], ab.shape[2]
+        if not (ab.dtype == np.float64 and ab.flags.c_contiguous
+                and ab.shape == (t_len + 1, 2, ns)
+                and gather.dtype == np.int64 and gather.flags.c_contiguous
+                and gather.shape == step_gamma.shape[1:] == (2, ns, 2)
+                and step_gamma.dtype == np.float64):
+            raise ValueError("bcjr recursion: unexpected array layout")
+        fn(t_len, ns, gather.ctypes.data,
+           step_gamma.ctypes.data, ab.ctypes.data, lanes, nan)
+
+    return recursion
+
+
+def _recursion() -> Recursion:
+    """The compiled recursion, or the numpy loop when it can't be built."""
+    global _KERNEL
+    if _KERNEL is None:
+        _KERNEL = _load_kernel() or _recursion_numpy
+    return _KERNEL
+
+
+def _recursion_numpy(ab: np.ndarray, step_gamma: np.ndarray,
+                     gather: np.ndarray) -> None:
+    """The reference loop: ``ab[t + 1]`` from ``ab[t]``, for every t."""
+    row_max = np.maximum.reduce
+    flat = ab.reshape(ab.shape[0], -1)
+    for prev, row, metrics in zip(flat[:-1], ab[1:], step_gamma):
+        cand = prev[gather]
+        cand += metrics
+        row_max(cand, axis=2, initial=_NEG, out=row)
+        row -= row_max(row, axis=1, keepdims=True)  # normalise against drift
 
 
 def max_log_bcjr(
@@ -112,8 +215,6 @@ def max_log_bcjr(
     # (alpha) and of those leaving each state at time T-1-t (beta)
     step_gamma = np.stack([gamma[:, trellis.in_branches],
                            gamma[::-1][:, trellis.out_branches]], axis=1)
-    gather = trellis.gather
-    row_max = np.maximum.reduce
 
     # ab[t] = [alpha_t | beta_{T-t}], one flat row per step
     ab = np.empty((t_len + 1, 2, ns))
@@ -123,12 +224,7 @@ def max_log_bcjr(
         ab[0, 1, 0] = 0.0
     else:
         ab[0, 1] = 0.0
-    flat = ab.reshape(t_len + 1, 2 * ns)
-    for prev, row, metrics in zip(flat[:-1], ab[1:], step_gamma):
-        cand = prev[gather]
-        cand += metrics
-        row_max(cand, axis=2, initial=_NEG, out=row)
-        row -= row_max(row, axis=1, keepdims=True)  # normalise against drift
+    _recursion()(ab, step_gamma, trellis.gather)
     alpha = ab[:, 0]
     beta = ab[::-1, 1]
 

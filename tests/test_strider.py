@@ -7,6 +7,7 @@ from repro.channels.awgn import AWGNChannel
 from repro.modulation import QPSK, soft_demap
 from repro.simulation import measure_scheme
 from repro.strider import RscCode, StriderCodec, StriderScheme, TurboCodec
+from repro.strider import bcjr
 from repro.strider.bcjr import BcjrTrellis, max_log_bcjr
 from repro.utils.bitops import random_message
 
@@ -95,6 +96,144 @@ class TestBcjr:
         rsc.next_state = rsc.next_state[:, :1]
         with pytest.raises(ValueError, match="outgoing"):
             BcjrTrellis(rsc)
+
+
+_CODES = {"rsc13": (13, (15, 17)), "rsc7": (7, (5,))}
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    """The compiled recursion; skips when no C compiler can build it."""
+    kernel = bcjr._load_kernel()
+    if kernel is None:
+        pytest.skip("the native bcjr kernel could not be built")
+    return kernel
+
+
+def _decode_both(monkeypatch, compiled, code, sys_llr, par_llr, apri,
+                 terminated):
+    """``(llr, extrinsic, alpha|beta rows)`` bytes from the numpy loop and
+    from the C kernel.
+
+    The rows are compared too: once alpha and beta both carry a NaN, every
+    posterior is NaN, which would hide a kernel that loses NaNs midway.
+    """
+    trellis = BcjrTrellis(RscCode(*_CODES[code]))
+    out = []
+    for recursion in (bcjr._recursion_numpy, compiled):
+        rows = []
+
+        def spy(ab, step_gamma, gather, recursion=recursion, rows=rows):
+            recursion(ab, step_gamma, gather)
+            rows.append(ab.tobytes())
+
+        monkeypatch.setattr(bcjr, "_KERNEL", spy)
+        with np.errstate(invalid="ignore"):
+            llr, ext = max_log_bcjr(trellis, sys_llr, par_llr, apri,
+                                    terminated=terminated)
+        out.append((llr.tobytes(), ext.tobytes(), *rows))
+    return out
+
+
+class TestCompiledRecursion:
+    """The C recursion against the numpy reference loop, byte for byte."""
+
+    @pytest.mark.parametrize("with_apriori", [False, True],
+                             ids=["none", "apriori"])
+    @pytest.mark.parametrize("terminated", [True, False],
+                             ids=["term", "open"])
+    @pytest.mark.parametrize("code", sorted(_CODES))
+    def test_random_llrs(self, monkeypatch, compiled, code, terminated,
+                         with_apriori):
+        rng = np.random.default_rng(5)
+        n_par = len(_CODES[code][1])
+        for t_len in (1, 2, 3, 163, 300):
+            for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+                sys_llr = rng.normal(0.0, scale, t_len)
+                par_llr = rng.normal(0.0, scale, (n_par, t_len))
+                apri = (rng.normal(0.0, scale, t_len) if with_apriori
+                        else None)
+                ref, got = _decode_both(monkeypatch, compiled, code, sys_llr,
+                                        par_llr, apri, terminated)
+                assert got == ref, (t_len, scale)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "neg-zero"])
+    @pytest.mark.parametrize("terminated", [True, False],
+                             ids=["term", "open"])
+    @pytest.mark.parametrize("code", sorted(_CODES))
+    def test_zero_llrs(self, monkeypatch, compiled, code, terminated, zero):
+        n_par = len(_CODES[code][1])
+        full = np.full(40, zero)
+        for apri in (None, full):
+            ref, got = _decode_both(monkeypatch, compiled, code, full,
+                                    np.full((n_par, 40), zero), apri,
+                                    terminated)
+            assert got == ref
+
+    @pytest.mark.parametrize("stream", ["sys", "parity", "apriori"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("code", sorted(_CODES))
+    def test_non_finite_llrs(self, monkeypatch, compiled, code, value,
+                             stream):
+        rng = np.random.default_rng(9)
+        n_par = len(_CODES[code][1])
+        t_len = 40
+        for terminated in (True, False):
+            for pos in (0, 17, t_len - 1):
+                sys_llr = rng.normal(0.0, 3.0, t_len)
+                par_llr = rng.normal(0.0, 3.0, (n_par, t_len))
+                apri = rng.normal(0.0, 3.0, t_len)
+                {"sys": sys_llr, "parity": par_llr[-1],
+                 "apriori": apri}[stream][pos] = value
+                ref, got = _decode_both(monkeypatch, compiled, code, sys_llr,
+                                        par_llr, apri, terminated)
+                assert got == ref, (terminated, pos)
+                if np.isnan(value):
+                    assert np.isnan(np.frombuffer(got[0])).any()
+
+    @pytest.mark.parametrize("code", sorted(_CODES))
+    def test_non_finite_branch_metrics(self, compiled, code):
+        """A non-finite LLR turns every state's metrics non-finite within a
+        step, so the rows go all-NaN at once.  Single non-finite branch
+        metrics leave the rest of a row finite, so every NaN rule of the
+        kernel (add, pair max, row max, subtract) shows in the rows."""
+        trellis = BcjrTrellis(RscCode(*_CODES[code]))
+        ns = trellis.n_states
+        rng = np.random.default_rng(11)
+        specials = [np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]
+        for trial in range(300):
+            step_gamma = rng.normal(0.0, 3.0, (30, 2, ns, 2))
+            flat = step_gamma.reshape(-1)
+            hits = rng.integers(0, flat.size, rng.integers(1, 8))
+            flat[hits] = rng.choice(specials, hits.size)
+            rows = []
+            for recursion in (bcjr._recursion_numpy, compiled):
+                ab = np.full((31, 2, ns), bcjr._NEG)
+                ab[0, :, 0] = 0.0
+                if trial % 2:
+                    ab[0, 1] = 0.0  # open trellis
+                with np.errstate(invalid="ignore"):
+                    recursion(ab, step_gamma, trellis.gather)
+                rows.append(ab.tobytes())
+            assert rows[1] == rows[0], trial
+
+    @pytest.mark.parametrize("code", sorted(_CODES))
+    def test_mixed_non_finite_llrs(self, monkeypatch, compiled, code):
+        """An inf - inf NaN (sign bit set) meets an input NaN (clear)."""
+        rng = np.random.default_rng(10)
+        n_par = len(_CODES[code][1])
+        for trial in range(40):
+            sys_llr = rng.normal(0.0, 3.0, 30)
+            par_llr = rng.normal(0.0, 3.0, (n_par, 30))
+            apri = rng.normal(0.0, 3.0, 30)
+            for arr in (sys_llr, par_llr.reshape(-1), apri):
+                hits = rng.integers(0, arr.size, 2)
+                arr[hits] = rng.choice([np.inf, -np.inf, np.nan], 2)
+            for terminated in (True, False):
+                ref, got = _decode_both(monkeypatch, compiled, code, sys_llr,
+                                        par_llr, apri, terminated)
+                assert got == ref, (trial, terminated)
 
 
 class TestTurbo:
