@@ -33,6 +33,26 @@ matches §5 exactly.
 :meth:`BatchBubbleDecoder.decode_batch` searches a
 :class:`~repro.core.symbols.BatchReceivedView` of a cohort.  Both run the
 same search, and each message's result depends only on its own row.
+
+**Oracle early abort.**  Rate curves judge an attempt by whether the
+decoded message equals the transmitted one (oracle mode), and most
+attempts fail.  Given the transmitted spine states, the search stops
+spending work on a row as soon as its failure is certain.  The decoded path
+ends at a kept leaf and backtracks through one kept subtree per step, so
+its node at depth ``i+1`` is a leaf kept by the selection at step ``i``
+(for ``d > 1``, one of the W leaves of a kept subtree).  A correct decode
+is the transmitted path, so if the true state ``s_{i+1}`` is on none of
+the kept leaves, the attempt has already failed.  After each selection the
+search drops such rows and compacts the beam arrays, the backtracking
+rows and the received-symbol view to the survivors; a dropped row is
+reported as failed with no bits and no cost.  The check compares state
+values, so a hash collision can only keep a doomed row running: the abort
+never drops a row that would succeed, and a row it keeps gets exactly the
+full search's bits and cost.  Three callers need the bits or the cost of
+a failed decode and keep the full search: fixed-rate shots
+(``BatchSession.run_fixed_rate``, whose failed shots report their cost),
+CRC-framed link decodes (the CRC needs the bits), and direct
+:meth:`BubbleDecoder.decode` calls.
 """
 
 from __future__ import annotations
@@ -110,14 +130,29 @@ class BubbleDecoder:
 
     def decode(self, received: ReceivedSymbols | ReceivedPrefix) -> DecodeResult:
         """Run the full bubble search over one message's stored symbols."""
-        return self._search(received.batch_view())[0]
+        result = self._search(received.batch_view())[0]
+        assert result is not None  # only an oracle search drops rows
+        return result
 
-    def _search(self, received: BatchReceivedView) -> list[DecodeResult]:
-        """The bubble search over every row of a batch view."""
+    def _search(
+        self,
+        received: BatchReceivedView,
+        true_spines: np.ndarray | None = None,
+    ) -> list[DecodeResult | None]:
+        """The bubble search over every row of a batch view.
+
+        With ``true_spines`` (the ``(M, n_spine)`` transmitted spine
+        states), a row is dropped at the first selection that keeps no leaf
+        holding its true state, and its entry is None (see the module
+        docstring); every other entry is what the full search returns.
+        """
         if received.n_spine != self.n_spine:
             raise ValueError("received-symbol store has mismatched spine length")
+        if true_spines is not None and true_spines.shape != (
+                received.n_rows, self.n_spine):
+            raise ValueError("true spines must be (n_rows, n_spine)")
         k, K, d, W = self.k, 1 << self.k, self.d, self._W
-        M = received.n_rows
+        M = n_rows = received.n_rows
         edges = np.arange(K, dtype=np.uint32)
         hash_fn = self._hash_fn
         backend = self._backend
@@ -128,10 +163,13 @@ class BubbleDecoder:
         _on = OBS.enabled
         t_hash = t_sel = 0.0
         n_hash = n_sel = 0
+        steps_skipped = 0
 
         leaf_states = np.full((M, 1, 1), params.s0, dtype=np.uint32)
         leaf_costs = np.zeros((M, 1, 1), dtype=np.float64)
         sel_hist: list[np.ndarray] = []
+        # live[j]: the received row that search row j decodes.
+        live = np.arange(M)
         row_idx = np.arange(M)[:, None]
         for step in range(self.n_spine):
             n_beam = leaf_states.shape[1]
@@ -174,15 +212,41 @@ class BubbleDecoder:
             # The selection may be a view into the full (M, n_beam*K)
             # argpartition output; keep only the kept indices alive.
             sel_hist.append(sel.copy())
+            if true_spines is None:
+                continue
+            # Oracle early abort: a row whose true state at depth step+1 is
+            # on no kept leaf cannot decode correctly; drop it and compact
+            # every per-row array to the survivors.
+            kept = (leaf_states.reshape(M, -1)
+                    == true_spines[:, step, None]).any(axis=1)
+            if kept.all():
+                continue
+            keep = np.flatnonzero(kept)
+            steps_skipped += (M - keep.size) * (self.n_spine - 1 - step)
+            live = live[keep]
+            M = live.size
+            row_idx = np.arange(M)[:, None]
+            true_spines = true_spines[keep]
+            leaf_states = leaf_states[keep]
+            leaf_costs = leaf_costs[keep]
+            sel_hist = [h[keep] for h in sel_hist]
+            received = received.take(keep)
+            if M == 0:
+                break
         if _on:
             OBS.add_time("kernel.hash", t_hash, n_hash)
             OBS.add_time("kernel.select", t_sel, n_sel)
+            if true_spines is not None:
+                OBS.counter("decode.rows_aborted", n_rows - M)
+                OBS.counter("decode.row_steps_skipped", steps_skipped)
+        results: list[DecodeResult | None] = [None] * n_rows
+        if M == 0:
+            return results
 
         # Best leaf of each message, then backtrack: a kept candidate
         # s = parent*K + edge names its parent beam slot and its edge.
         flat_costs = leaf_costs.reshape(M, -1)
         flat_best = np.argmin(flat_costs, axis=1)
-        results: list[DecodeResult] = []
         for m in range(M):
             b, w = divmod(int(flat_best[m]), W)
             chunks: list[int] = []
@@ -193,8 +257,8 @@ class BubbleDecoder:
             # Within-subtree path: the d-1 base-2^k digits of w, MSB first.
             chunks.extend((w // K**j) % K for j in reversed(range(d - 1)))
             message = pack_chunks(np.asarray(chunks, dtype=np.uint32), k)
-            results.append(DecodeResult(
-                message, float(flat_costs[m, flat_best[m]]), received.n_symbols))
+            results[live[m]] = DecodeResult(
+                message, float(flat_costs[m, flat_best[m]]), received.n_symbols)
         return results
 
 
@@ -207,6 +271,16 @@ class BatchBubbleDecoder(BubbleDecoder):
     and argmin work on contiguous per-message rows.
     """
 
-    def decode_batch(self, received: BatchReceivedView) -> list[DecodeResult]:
-        """Decode every message of a batch view in one vectorised search."""
-        return self._search(received)
+    def decode_batch(
+        self,
+        received: BatchReceivedView,
+        true_spines: np.ndarray | None = None,
+    ) -> list[DecodeResult | None]:
+        """Decode every message of a batch view in one vectorised search.
+
+        ``true_spines``, the ``(M, n_spine)`` transmitted spine states,
+        turns on the oracle early abort: a row that cannot decode correctly
+        is dropped at the step where it becomes certain, and its entry is
+        None.  Without it every entry is a :class:`DecodeResult`.
+        """
+        return self._search(received, true_spines)

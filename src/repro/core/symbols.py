@@ -227,6 +227,10 @@ class BatchReceivedView:
     def has_csi(self) -> bool:
         return self._store.has_csi
 
+    def take(self, keep: np.ndarray) -> "BatchReceivedView":
+        """This checkpoint for the rows at positions ``keep`` of this view."""
+        return BatchReceivedView(self._store, self.rows[keep], self._counts)
+
     def for_spine(
         self, i: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

@@ -38,6 +38,18 @@ which reproduces each message's transmit order exactly.
 Success is judged against the transmitted message (oracle mode, standard
 for rate curves — it measures code performance without protocol overhead).
 CRC-based realistic framing lives in :mod:`repro.core.framing`.
+
+Oracle mode also lets a rateless attempt stop early: :meth:`BatchSession.run`
+hands the bubble search the cohort's transmitted spine states, and the
+search drops a row at the step where its true state leaves the beam, after
+which the attempt cannot succeed (the soundness argument is in
+:mod:`repro.core.decoder`).  Success flags, symbol, subpass and attempt
+counts are exactly those of the full search.  A successful session reports
+the path cost of its successful attempt (the one at the minimal prefix).
+:meth:`BatchSession.run_fixed_rate` keeps the full search, because a failed
+fixed-rate shot reports the cost of the path it settled on; so do the
+CRC-framed link decodes and direct ``BubbleDecoder.decode`` calls, which
+need the decoded bits.
 """
 
 from __future__ import annotations
@@ -125,6 +137,8 @@ class SessionResult:
     n_subpasses: int        # subpasses consumed
     n_bits: int             # message length
     n_attempts: int         # decode attempts executed
+    # Cost of the decode at n_subpasses: the successful attempt, or the
+    # fixed-rate shot; NaN for a rateless message never decoded.
     path_cost: float = float("nan")
 
     @property
@@ -217,15 +231,18 @@ class BatchSession:
         max_subpasses = self.dec.max_passes * cohort.subpasses_per_pass
         lo = np.zeros(M, dtype=np.int64)
         hi: list[int | None] = [None] * M
+        # The path cost of each row's decode at hi: its successful attempt.
+        hi_cost = np.full(M, float("nan"))
 
         # Geometric probing, whole cohort at a time.
         active = np.arange(M, dtype=np.intp)
         for g in probe_schedule(self.probe_growth, max_subpasses):
             if active.size == 0:
                 break
-            ok = cohort.attempt(active, g)
+            ok, cost = cohort.attempt(active, g, oracle=True)
             for m in active[ok]:
                 hi[m] = g
+            hi_cost[active[ok]] = cost[ok]
             lo[active[~ok]] = g
             active = active[~ok]
 
@@ -239,10 +256,12 @@ class BatchSession:
             if not mids:
                 break
             for mid, members in sorted(mids.items()):
-                ok = cohort.attempt(np.asarray(members, dtype=np.intp), mid)
+                ok, cost = cohort.attempt(
+                    np.asarray(members, dtype=np.intp), mid, oracle=True)
                 for j, m in enumerate(members):
                     if ok[j]:
                         hi[m] = mid
+                        hi_cost[m] = cost[j]
                     else:
                         lo[m] = mid
 
@@ -250,7 +269,7 @@ class BatchSession:
         # which is max_subpasses.
         return [
             cohort.result(m, max_subpasses, False) if hi[m] is None
-            else cohort.result(m, hi[m], True, cohort.last_cost[m])
+            else cohort.result(m, hi[m], True, hi_cost[m])
             for m in range(M)
         ]
 
@@ -263,10 +282,11 @@ class BatchSession:
                     for r in single.run_fixed_rate(n_passes)]
         cohort = _Cohort(self)
         n_subpasses = n_passes * cohort.subpasses_per_pass
-        ok = cohort.attempt(np.arange(self.n_messages, dtype=np.intp),
-                            n_subpasses)
-        # A failed shot still reports the cost of the path it settled on.
-        return [cohort.result(m, n_subpasses, bool(ok[m]), cohort.last_cost[m])
+        # The full search: a failed shot still reports the cost of the path
+        # it settled on.
+        ok, cost = cohort.attempt(np.arange(self.n_messages, dtype=np.intp),
+                                  n_subpasses, oracle=False)
+        return [cohort.result(m, n_subpasses, bool(ok[m]), cost[m])
                 for m in range(self.n_messages)]
 
 
@@ -287,7 +307,6 @@ class _Cohort:
         self._cum_symbols = [0]
         self.subpasses_per_pass = self._encoder.subpasses_per_pass
         self.n_attempts = np.zeros(session.n_messages, dtype=np.int64)
-        self.last_cost = np.full(session.n_messages, float("nan"))
 
     def _ensure(self, rows: np.ndarray, count: int) -> None:
         """Transmit up to ``count`` subpasses for the messages in rows.
@@ -308,21 +327,32 @@ class _Cohort:
             self._checkpoints.append(self._store.checkpoint())
             self._cum_symbols.append(self._cum_symbols[-1] + len(block))
 
-    def attempt(self, rows: np.ndarray, n_subpasses: int) -> np.ndarray:
-        """Batched decode of ``rows`` at a prefix; returns success mask."""
+    def attempt(self, rows: np.ndarray, n_subpasses: int,
+                oracle: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Batched decode of ``rows`` at a prefix.
+
+        Returns the success mask and each row's path cost.  With
+        ``oracle`` the search is given the transmitted spines and drops a
+        row as soon as it cannot succeed (NaN cost); without it every row
+        is searched in full.
+        """
         self._ensure(rows, n_subpasses)
         view = self._store.prefix(rows, self._checkpoints[n_subpasses])
+        true_spines = self._encoder.spines[rows] if oracle else None
         OBS.counter("decode.attempts", rows.size)
         with OBS.span("decode.cohort", rows=int(rows.size),
                       subpasses=int(n_subpasses)):
-            results = self._decoder.decode_batch(view)
+            results = self._decoder.decode_batch(view, true_spines)
         messages = self._session.messages
         ok = np.zeros(rows.size, dtype=bool)
+        cost = np.full(rows.size, float("nan"))
         for j, m in enumerate(rows):
             self.n_attempts[m] += 1
-            self.last_cost[m] = results[j].path_cost
-            ok[j] = results[j].matches(messages[m])
-        return ok
+            result = results[j]
+            if result is not None:
+                ok[j] = result.matches(messages[m])
+                cost[j] = result.path_cost
+        return ok, cost
 
     def result(self, m: int, n_subpasses: int, success: bool,
                path_cost: float = float("nan")) -> SessionResult:
@@ -330,7 +360,7 @@ class _Cohort:
         return SessionResult(
             success=success,
             n_symbols=self._cum_symbols[n_subpasses],
-            n_subpasses=n_subpasses,
+            n_subpasses=int(n_subpasses),
             n_bits=self._session.messages.shape[1],
             n_attempts=int(self.n_attempts[m]),
             path_cost=float(path_cost),

@@ -141,7 +141,7 @@ def _load_kernel() -> Recursion | None:
 
     def recursion(ab: np.ndarray, step_gamma: np.ndarray,
                   gather: np.ndarray) -> None:
-        step_gamma = np.ascontiguousarray(step_gamma)  # np.stack's may not be
+        step_gamma = np.ascontiguousarray(step_gamma)
         t_len, ns = step_gamma.shape[0], ab.shape[2]
         if not (ab.dtype == np.float64 and ab.flags.c_contiguous
                 and ab.shape == (t_len + 1, 2, ns)
@@ -212,9 +212,11 @@ def max_log_bcjr(
     gamma = sys_term + par_term  # (T, n_branches)
 
     # step_gamma[t]: metrics of the branches entering each state at time t
-    # (alpha) and of those leaving each state at time T-1-t (beta)
-    step_gamma = np.stack([gamma[:, trellis.in_branches],
-                           gamma[::-1][:, trellis.out_branches]], axis=1)
+    # (alpha) and of those leaving each state at time T-1-t (beta), filled
+    # in place so the array is contiguous for the compiled recursion
+    step_gamma = np.empty((t_len, 2, ns, 2))
+    step_gamma[:, 0] = gamma[:, trellis.in_branches]
+    step_gamma[:, 1] = gamma[::-1][:, trellis.out_branches]
 
     # ab[t] = [alpha_t | beta_{T-t}], one flat row per step
     ab = np.empty((t_len + 1, 2, ns))

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channels.awgn import AWGNChannel
 from repro.channels.bsc import BSCChannel
-from repro.core.decoder import BubbleDecoder
-from repro.core.encoder import SpinalEncoder
+from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder
+from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
-from repro.core.symbols import ReceivedSymbols
+from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
+from repro.obs import OBS
 from repro.utils.bitops import random_message
 
 
@@ -255,3 +256,134 @@ def test_roundtrip_property_high_snr(seed):
     params = SpinalParams(puncturing="none")
     assert _roundtrip(params, DecoderParams(B=32), 64, snr_db=20,
                       n_passes=2, seed=seed)
+
+
+def _cohort_view(params, messages, make_channel, n_subpasses, seed):
+    """(encoder, view) of a cohort after ``n_subpasses`` noisy subpasses,
+    one channel (own noise stream) per message."""
+    enc = BatchSpinalEncoder(params, messages)
+    block = enc.generate_batch(0, n_subpasses)
+    values = np.stack([
+        make_channel(seed * 1000 + m).transmit(row).values
+        for m, row in enumerate(block.values)])
+    store = BatchReceivedSymbols(enc.n_spine, len(messages),
+                                 complex_valued=not params.is_bsc)
+    store.add_block(block.spine_indices, block.slots, values)
+    return enc, store.prefix(np.arange(len(messages)), store.checkpoint())
+
+
+def _awgn(snr_db):
+    return lambda seed: AWGNChannel(snr_db, rng=seed)
+
+
+def _bsc(p):
+    return lambda seed: BSCChannel(p, rng=seed)
+
+
+ABORT_CONFIGS = [
+    # (params, decoder params, n_bits, channel factory, subpasses)
+    pytest.param(SpinalParams(), DecoderParams(B=8), 64, _awgn(6), 12,
+                 id="awgn-8way-d1"),
+    pytest.param(SpinalParams(puncturing="none"), DecoderParams(B=4, d=2), 48,
+                 _awgn(4), 2, id="awgn-nopunct-d2"),
+    pytest.param(SpinalParams(k=2, puncturing="4-way"),
+                 DecoderParams(B=4, d=3), 24, _awgn(2), 4, id="awgn-4way-d3"),
+    # d=3 clamps to the tree height (2) with k=8.
+    pytest.param(SpinalParams(k=8, puncturing="none"), DecoderParams(B=2, d=3),
+                 16, _awgn(6), 2, id="awgn-k8-d3-clamped"),
+    pytest.param(SpinalParams.bsc(), DecoderParams(B=8), 48, _bsc(0.05), 40,
+                 id="bsc-8way-d1"),
+    pytest.param(SpinalParams.bsc(puncturing="none"), DecoderParams(B=8, d=2),
+                 32, _bsc(0.05), 4, id="bsc-nopunct-d2"),
+]
+
+
+class TestOracleAbort:
+    """Given the true spine states, the search drops a row at the first
+    selection that keeps no leaf holding its true state.  The abort must be
+    sound (a dropped row fails under the full search) and invisible to the
+    rows it keeps (bit-identical message and path cost)."""
+
+    @pytest.mark.parametrize("params,dec,n_bits,make_channel,n_subpasses",
+                             ABORT_CONFIGS)
+    def test_dropped_rows_fail_and_kept_rows_are_identical(
+            self, params, dec, n_bits, make_channel, n_subpasses):
+        decoder = BatchBubbleDecoder(params, dec, n_bits)
+        dropped = kept = 0
+        for n_rows in (1, 8):
+            for seed in range(4):
+                rng = np.random.default_rng([n_rows, seed])
+                messages = rng.integers(0, 2, (n_rows, n_bits), dtype=np.uint8)
+                enc, view = _cohort_view(params, messages, make_channel,
+                                         n_subpasses, seed)
+                full = decoder.decode_batch(view)
+                oracle = decoder.decode_batch(view, enc.spines)
+                assert len(oracle) == n_rows
+                for m in range(n_rows):
+                    if oracle[m] is None:
+                        dropped += 1
+                        assert not full[m].matches(messages[m])
+                        continue
+                    kept += 1
+                    assert np.array_equal(oracle[m].message_bits,
+                                          full[m].message_bits)
+                    assert (oracle[m].path_cost.hex()
+                            == full[m].path_cost.hex())
+                    assert oracle[m].n_symbols_used == full[m].n_symbols_used
+        # The grid must exercise both sides of the abort.
+        assert dropped and kept
+
+    def test_every_row_aborts(self):
+        params = SpinalParams()
+        dec = DecoderParams(B=2)
+        messages = np.random.default_rng(5).integers(
+            0, 2, (8, 64), dtype=np.uint8)
+        enc, view = _cohort_view(params, messages, _awgn(-10), 1, seed=5)
+        decoder = BatchBubbleDecoder(params, dec, 64)
+        full = decoder.decode_batch(view)
+        OBS.enable()
+        try:
+            oracle = decoder.decode_batch(view, enc.spines)
+            counters = OBS.snapshot()["counters"]
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert oracle == [None] * 8
+        assert not any(r.matches(m) for r, m in zip(full, messages))
+        assert counters["decode.rows_aborted"] == 8
+        assert 0 < counters["decode.row_steps_skipped"] < 8 * enc.n_spine
+
+    def test_true_state_lost_at_step_zero(self):
+        """Row 0 receives a decoy whose first chunk differs, noiselessly:
+        with B=1 the first selection keeps only the decoy's state."""
+        params = SpinalParams(puncturing="none")
+        decoder = BatchBubbleDecoder(params, DecoderParams(B=1), 32)
+        messages = random_message(64, 3).reshape(2, 32)
+        decoy = messages.copy()
+        decoy[0, :4] ^= 1
+        sent = BatchSpinalEncoder(params, decoy)
+        block = sent.generate_batch(0, 1)
+        store = BatchReceivedSymbols(sent.n_spine, 2)
+        store.add_block(block.spine_indices, block.slots, block.values)
+        view = store.prefix(np.arange(2), store.checkpoint())
+        true_spines = BatchSpinalEncoder(params, messages).spines
+        OBS.enable()
+        try:
+            oracle = decoder.decode_batch(view, true_spines)
+            counters = OBS.snapshot()["counters"]
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert oracle[0] is None
+        assert oracle[1].matches(messages[1])
+        assert decoder.decode_batch(view)[0].matches(decoy[0])
+        assert counters["decode.rows_aborted"] == 1
+        assert counters["decode.row_steps_skipped"] == sent.n_spine - 1
+
+    def test_true_spines_shape_checked(self):
+        params = SpinalParams()
+        messages = np.zeros((2, 32), dtype=np.uint8)
+        enc, view = _cohort_view(params, messages, _awgn(10), 1, seed=0)
+        with pytest.raises(ValueError):
+            BatchBubbleDecoder(params, DecoderParams(B=4), 32).decode_batch(
+                view, enc.spines[:1])

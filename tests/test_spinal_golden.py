@@ -6,7 +6,10 @@ as it stood before the pipeline was reduced to one batch implementation
 own).  The one remaining implementation must reproduce them exactly:
 
 - sessions: every :class:`SessionResult` field, with ``path_cost`` compared
-  through ``float.hex`` (bitwise, not approximately);
+  through ``float.hex`` (bitwise, not approximately).  A successful
+  rateless session's ``path_cost`` was re-anchored when sessions began
+  reporting the cost of their successful attempt instead of the last
+  attempt's; every other field kept its captured value;
 - decodes: sha256 of the decoded bits of every attempt in a case, plus each
   attempt's ``path_cost`` hex and symbol count;
 - link: every :class:`PacketResult` field of one oracle and one framed
@@ -172,9 +175,9 @@ def _link_packets() -> dict[str, tuple]:
 
 GOLDEN_SESSIONS: dict[str, list[tuple]] = {
     "awgn-8way": [
-        (True, 26, 12, 64, 8, "0x1.9f2f1b6ecf40dp+2"),
+        (True, 26, 12, 64, 8, "0x1.010377a2d6f00p+2"),
         (True, 30, 14, 64, 10, "0x1.64d03c437356ep+2"),
-        (True, 22, 10, 64, 8, "0x1.ef93dfdcc15c9p+0"),
+        (True, 22, 10, 64, 8, "0x1.831bb4b015720p+1"),
     ],
     "awgn-failure": [
         (False, 99, 24, 128, 8, "nan"),
@@ -188,13 +191,13 @@ GOLDEN_SESSIONS: dict[str, list[tuple]] = {
     ],
     "awgn-k3-d2-tail1": [
         (True, 12, 4, 36, 5, "0x1.459a05120083dp+0"),
-        (True, 15, 5, 36, 5, "0x1.7f643d139f24fp-1"),
-        (True, 15, 5, 36, 5, "0x1.f2e0d5e2687d5p-1"),
+        (True, 15, 5, 36, 5, "0x1.4d4e17c046a73p+0"),
+        (True, 15, 5, 36, 5, "0x1.5ef2ad8007265p+0"),
     ],
     "awgn-k8": [
         (True, 9, 13, 32, 9, "0x1.ffc94f65cf8d2p-5"),
         (True, 8, 11, 32, 8, "0x1.698e60349dcebp-4"),
-        (True, 10, 15, 32, 10, "0x1.7dac3680b00e7p+0"),
+        (True, 10, 15, 32, 10, "0x1.8815d85acb793p-4"),
     ],
     "awgn-nopunct-growth1": [
         (True, 34, 2, 64, 2, "0x1.f5eb4922f1e9cp+2"),
@@ -203,8 +206,8 @@ GOLDEN_SESSIONS: dict[str, list[tuple]] = {
     ],
     "bsc-8way": [
         (True, 81, 49, 48, 14, "0x1.0000000000000p+2"),
-        (True, 68, 41, 48, 13, "0x1.0000000000000p+1"),
-        (True, 45, 27, 48, 12, "0x1.0000000000000p+0"),
+        (True, 68, 41, 48, 13, "0x1.8000000000000p+1"),
+        (True, 45, 27, 48, 12, "0x0.0p+0"),
     ],
     "fixed-rate-awgn": [
         (True, 26, 2, 48, 1, "0x1.fece25fdc748cp+1"),
@@ -218,8 +221,8 @@ GOLDEN_SESSIONS: dict[str, list[tuple]] = {
     ],
     "rayleigh-full": [
         (True, 34, 16, 64, 9, "0x1.f28e1d51e3860p-1"),
-        (True, 17, 8, 64, 7, "0x1.69b85393b879cp-1"),
-        (True, 39, 18, 64, 10, "0x1.4e9bef17ef720p+1"),
+        (True, 17, 8, 64, 7, "0x1.052932c61b1d5p-1"),
+        (True, 39, 18, 64, 10, "0x1.9680f5df1269fp+0"),
     ],
     "rayleigh-none": [
         (False, 272, 128, 64, 12, "nan"),
@@ -227,7 +230,7 @@ GOLDEN_SESSIONS: dict[str, list[tuple]] = {
         (False, 272, 128, 64, 12, "nan"),
     ],
     "rayleigh-phase": [
-        (True, 47, 22, 64, 11, "0x1.603d2846de295p+4"),
+        (True, 47, 22, 64, 11, "0x1.42f40961fc727p+4"),
         (True, 54, 25, 64, 11, "0x1.f9d1d14f66a5bp+3"),
         (True, 41, 19, 64, 11, "0x1.95619cc011628p+3"),
     ],
